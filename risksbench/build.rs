@@ -1,0 +1,20 @@
+//! Stamps the compiler version into the binary, so every result line can
+//! name the toolchain that built the code it measured.
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".to_string());
+    let version = std::process::Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .unwrap_or_default();
+    let version = version.trim();
+    let version = if version.is_empty() {
+        "unknown"
+    } else {
+        version
+    };
+    println!("cargo:rustc-env=RISKSBENCH_RUSTC={version}");
+    println!("cargo:rerun-if-changed=build.rs");
+}
