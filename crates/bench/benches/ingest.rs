@@ -41,7 +41,7 @@ use ldp_core::{DynSolution, NumericKind};
 use ldp_protocols::hash::mix3;
 use ldp_protocols::ProtocolKind;
 use ldp_server::{Envelope, LdpServer, ServerConfig, WireServer};
-use ldp_sim::{BudgetPolicy, NetClient};
+use ldp_sim::{BudgetPolicy, NetClient, Rounds};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -239,8 +239,9 @@ fn run_once_rounds(
     threads: usize,
 ) -> Measurement {
     let base = solution_kind.build(ks, 1.0).expect("bench solution builds");
-    let solution = BudgetPolicy::SplitEps
-        .round_solution(&base, ROUNDS)
+    let solution = Rounds::new(ROUNDS, BudgetPolicy::SplitEps)
+        .expect("ROUNDS > 0")
+        .solution(&base)
         .expect("split-budget solution builds");
     let server = LdpServer::spawn(
         solution.clone(),

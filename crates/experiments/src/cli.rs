@@ -75,7 +75,7 @@ the serving process):
                           producers with parts 0/N…(N-1)/N cover the
                           population exactly once (default 0/1)
     --snapshot-every <W>  log an incremental server snapshot every W
-                          traffic waves (0 = never)
+                          traffic waves of each round (0 = never)
     --auth-token <T>      shared-secret handshake token (must match the
                           server's --auth-token)
     --retries <N>         reconnect-and-resume attempts per transport
@@ -641,16 +641,12 @@ pub fn execute(cmd: Command) -> i32 {
             // Desynchronize the fleet's reconnect jitter: producers sharing
             // a seed must not retry in lockstep.
             client.backoff_seed = cfg.seed ^ ((part as u64) << 32) ^ parts as u64;
-            crate::serve::execute_produce(
-                &spec,
-                &cfg,
-                &connect,
+            let producer = ldp_sim::Producer {
                 part,
                 parts,
                 snapshot_every,
-                quiet,
-                client,
-            )
+            };
+            crate::serve::execute_produce(&spec, &cfg, &connect, producer, quiet, client)
         }
     }
 }

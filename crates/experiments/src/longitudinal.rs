@@ -23,7 +23,7 @@ use ldp_core::solutions::SolutionKind;
 use ldp_protocols::hash::{mix2, mix3};
 use ldp_protocols::ProtocolKind;
 use ldp_sim::par::par_map;
-use ldp_sim::{AttackPipeline, BudgetPolicy, CollectionPipeline};
+use ldp_sim::{AttackPipeline, BudgetPolicy, CollectionPipeline, Rounds};
 
 use crate::registry::ExperimentReport;
 use crate::table::{fnum, Table};
@@ -67,6 +67,23 @@ fn policy_grid(cfg: &ExpConfig, fig_seed: u64) -> Vec<(BudgetPolicy, usize, u64,
         .collect()
 }
 
+/// The single-threaded SMP[GRR] collection both sweeps run: total budget
+/// `epsilon` spent over `rounds` rounds under `policy`.
+fn smp_grr(
+    ks: &[usize],
+    epsilon: f64,
+    policy: BudgetPolicy,
+    rounds: usize,
+    seed: u64,
+) -> CollectionPipeline {
+    let rounds = Rounds::new(rounds, policy).expect("ROUNDS_GRID holds no zero");
+    CollectionPipeline::from_kind(SolutionKind::Smp(ProtocolKind::Grr), ks, epsilon)
+        .and_then(|pipeline| pipeline.rounds(rounds))
+        .expect("SMP[GRR] builds for every eps > 0")
+        .seed(seed)
+        .threads(1)
+}
+
 /// `longitudinal_risk`: averaging-attack ASR vs round count, per budget
 /// policy (`policy, rounds, top_k, asr_mean, asr_std, baseline`).
 pub fn run_risk(cfg: &ExpConfig) -> ExperimentReport {
@@ -78,14 +95,7 @@ pub fn run_risk(cfg: &ExpConfig) -> ExperimentReport {
             let (policy, rounds, run, item_seed) = grid[g];
             let dataset = cfg.adult(run);
             let ks = dataset.schema().cardinalities();
-            let collection = CollectionPipeline::from_kind(
-                SolutionKind::Smp(ProtocolKind::Grr),
-                &ks,
-                RISK_EPSILON,
-            )
-            .expect("SMP[GRR] builds for every eps > 0")
-            .seed(item_seed)
-            .threads(1);
+            let collection = smp_grr(&ks, RISK_EPSILON, policy, rounds, item_seed);
             let attack = AttackPipeline::from_kind(AttackKind::Averaging(AveragingConfig {
                 rounds,
                 reident: ReidentConfig {
@@ -96,10 +106,7 @@ pub fn run_risk(cfg: &ExpConfig) -> ExperimentReport {
             .expect("averaging attack kind")
             .seed(item_seed)
             .threads(1);
-            let outcome = attack
-                .run_rounds(&collection, &dataset, rounds, policy)
-                .expect("per-round solution builds")
-                .outcome;
+            let outcome = attack.run(&collection, &dataset).outcome;
             let o = outcome.reident().expect("reident outcome");
             (policy, rounds, o.rid_acc.clone(), o.baseline.clone())
         });
@@ -145,22 +152,20 @@ pub fn run_mse(cfg: &ExpConfig) -> ExperimentReport {
         let dataset = cfg.adult(run);
         let ks = dataset.schema().cardinalities();
         let truth = dataset.marginals();
-        let pipeline =
-            CollectionPipeline::from_kind(SolutionKind::Smp(ProtocolKind::Grr), &ks, MSE_EPSILON)
-                .expect("SMP[GRR] builds for every eps > 0")
-                .seed(item_seed)
-                .threads(1);
-        let round_runs = pipeline
-            .run_rounds(&dataset, rounds, policy)
-            .expect("per-round solution builds");
+        let run = smp_grr(&ks, MSE_EPSILON, policy, rounds, item_seed).run(&dataset);
         // The analyst's longitudinal estimator: average the per-round
         // estimates (memoized rounds are identical, so averaging is a no-op
-        // there by construction).
+        // there by construction; a single round has no separate window).
+        let round_estimates: Vec<&Vec<Vec<f64>>> = if run.epochs.is_empty() {
+            vec![&run.estimates]
+        } else {
+            run.epochs.iter().map(|e| &e.snapshot.estimates).collect()
+        };
         let mut avg: Vec<Vec<f64>> = truth.iter().map(|m| vec![0.0; m.len()]).collect();
-        for run in &round_runs {
-            for (a, est) in avg.iter_mut().zip(&run.estimates) {
+        for estimates in &round_estimates {
+            for (a, est) in avg.iter_mut().zip(*estimates) {
                 for (s, &e) in a.iter_mut().zip(est) {
-                    *s += e / round_runs.len() as f64;
+                    *s += e / round_estimates.len() as f64;
                 }
             }
         }

@@ -15,8 +15,11 @@ use std::time::Instant;
 use ldp_core::solutions::{RsFdProtocol, RsRfdProtocol, SolutionKind};
 use ldp_datasets::{corpora, Dataset};
 use ldp_protocols::{ProtocolKind, UeMode};
-use ldp_server::{EpochSnapshot, ServerConfig, WireServer};
-use ldp_sim::{BudgetPolicy, CollectionPipeline, CollectionRun, TrafficGenerator, TrafficShape};
+use ldp_server::{ServerConfig, WireServer};
+use ldp_sim::{
+    BudgetPolicy, CollectionPipeline, CollectionRun, Producer, Rounds, TrafficGenerator,
+    TrafficShape,
+};
 
 use crate::manifest::{config_hash, git_rev, Manifest};
 use crate::table::{fnum, Table};
@@ -167,7 +170,7 @@ impl Default for ServeSpec {
 /// The measured outcome of one serve run.
 #[derive(Debug, Clone)]
 pub struct ServeOutcome {
-    /// The drained collection run.
+    /// The drained collection run, with its closed per-epoch windows.
     pub run: CollectionRun,
     /// Wall-clock seconds from first wave to drained snapshot.
     pub wall_secs: f64,
@@ -176,29 +179,26 @@ pub struct ServeOutcome {
     /// Mean absolute error of the normalized estimates vs the dataset's
     /// true marginals, averaged over every attribute-value cell.
     pub mae: f64,
-    /// Closed per-epoch windows the server retained (newest-`retain` of the
-    /// `rounds` epochs; empty for a single-round run).
-    pub epochs: Vec<EpochSnapshot>,
+}
+
+/// The collection pipeline every serve path runs `spec` through: the
+/// total-ε solution over `spec.rounds` rounds under `spec.budget`.
+fn serve_pipeline(spec: &ServeSpec, ks: &[usize], cfg: &ExpConfig) -> CollectionPipeline {
+    let rounds = Rounds::new(spec.rounds, spec.budget).expect("serve spec validated at parse time");
+    CollectionPipeline::from_kind(spec.solution, ks, spec.epsilon)
+        .and_then(|pipeline| pipeline.rounds(rounds))
+        .expect("serve spec validated at parse time")
+        .seed(cfg.seed)
+        .threads(cfg.threads)
 }
 
 /// Streams `spec` under `cfg` and measures it.
 pub fn run_serve(spec: &ServeSpec, cfg: &ExpConfig) -> ServeOutcome {
     let dataset = spec.dataset.build_sized(cfg, spec.users);
-    let ks = dataset.schema().cardinalities();
-    let pipeline = CollectionPipeline::from_kind(spec.solution, &ks, spec.epsilon)
-        .expect("serve spec validated at parse time")
-        .seed(cfg.seed)
-        .threads(cfg.threads);
+    let pipeline = serve_pipeline(spec, &dataset.schema().cardinalities(), cfg);
     let traffic = TrafficGenerator::new(spec.shape, dataset.n()).seed(cfg.seed);
     let started = Instant::now();
-    let (run, epochs) = if spec.rounds > 1 {
-        let longitudinal = pipeline
-            .serve_rounds(&dataset, &traffic, spec.rounds, spec.budget, spec.retain)
-            .expect("serve spec validated at parse time");
-        (longitudinal.cumulative, longitudinal.epochs)
-    } else {
-        (pipeline.serve(&dataset, &traffic), Vec::new())
-    };
+    let run = pipeline.serve(&dataset, &traffic);
     let wall_secs = started.elapsed().as_secs_f64();
     let mae = mean_abs_error(&run.normalized, &dataset.marginals());
     ServeOutcome {
@@ -206,7 +206,6 @@ pub fn run_serve(spec: &ServeSpec, cfg: &ExpConfig) -> ServeOutcome {
         run,
         wall_secs,
         mae,
-        epochs,
     }
 }
 
@@ -252,11 +251,7 @@ pub fn run_serve_listen(
     drop(dataset);
     // The wire handshake fingerprints the solution the producers actually
     // run, which under ε-splitting is the ε/R per-round rebuild.
-    let solution = spec
-        .solution
-        .build(&ks, spec.epsilon)
-        .and_then(|s| spec.budget.round_solution(&s, spec.rounds))
-        .expect("serve spec validated at parse time");
+    let solution = serve_pipeline(spec, &ks, cfg).solution().clone();
     let server = WireServer::bind(
         listen.addr.as_str(),
         solution,
@@ -269,7 +264,11 @@ pub fn run_serve_listen(
     .producers(listen.producers);
     let addr = server.local_addr();
     if let Some(path) = &listen.addr_file {
-        std::fs::write(path, format!("{addr}\n"))?;
+        // Written aside and renamed into place, so a producer polling for
+        // the file never reads it half-written.
+        let partial = path.with_extension("partial");
+        std::fs::write(&partial, format!("{addr}\n"))?;
+        std::fs::rename(&partial, path)?;
     }
     eprintln!(
         "[risks] serve: listening on {addr}, waiting for {} producer(s) to drain",
@@ -305,26 +304,24 @@ pub fn run_serve_listen(
     Ok(ServeOutcome {
         reports_per_sec: snapshot.n as f64 / wall_secs.max(1e-9),
         run: CollectionRun {
-            aggregator: snapshot.aggregator,
-            estimates: snapshot.estimates,
-            normalized: snapshot.normalized,
-            n: snapshot.n,
-            shards: snapshot.shards,
+            epochs,
+            ..snapshot.into()
         },
         wall_secs,
         mae,
-        epochs,
     })
 }
 
 /// The per-epoch windowed view of a longitudinal serve run: one row per
-/// retained closed epoch (`risks serve --rounds R --retain W`).
-fn windows_table(outcome: &ServeOutcome) -> Table {
+/// retained closed epoch, the newest `retain` of them
+/// (`risks serve --rounds R --retain W`).
+fn windows_table(outcome: &ServeOutcome, retain: usize) -> Table {
     let mut table = Table::new(
         "retained epoch windows".to_string(),
         &["epoch", "n", "reports_per_user_attr"],
     );
-    for epoch in &outcome.epochs {
+    let epochs = &outcome.run.epochs;
+    for epoch in &epochs[epochs.len().saturating_sub(retain)..] {
         let cells: usize = epoch.snapshot.normalized.iter().map(Vec::len).sum();
         table.row(vec![
             epoch.epoch.to_string(),
@@ -476,8 +473,8 @@ pub fn execute_serve(
     }
     table.write_csv(&cfg.out_dir, "serve.csv");
     write_estimates_csv(&outcome, cfg);
-    if !outcome.epochs.is_empty() {
-        let windows = windows_table(&outcome);
+    if !outcome.run.epochs.is_empty() {
+        let windows = windows_table(&outcome, spec.retain);
         if !quiet {
             print!("{}", windows.render());
         }
@@ -493,7 +490,7 @@ pub fn execute_serve(
         wall_secs: outcome.wall_secs,
         rows: table.len(),
         git_rev: git_rev(),
-        outputs: if outcome.epochs.is_empty() {
+        outputs: if outcome.run.epochs.is_empty() {
             vec!["serve.csv".to_string(), "serve_estimates.csv".to_string()]
         } else {
             vec![
@@ -517,28 +514,22 @@ pub fn execute_serve(
 
 /// Runs one producer of a `risks produce --connect` fleet: rebuilds the
 /// corpus and traffic schedule from `spec`/`cfg` (which must match the
-/// serving process's flags), streams its `part` of the population over the
-/// wire with the given client-side wire behavior (auth, deadline, reconnect
-/// budget, optional fault plan), and drains. With `snapshot_every > 0` an
-/// incremental SNAPSHOT round trip is logged every that many waves. Returns
-/// the exit code.
-#[allow(clippy::too_many_arguments)]
+/// serving process's flags), streams `producer`'s part of the population
+/// over the wire with the given client-side wire behavior (auth, deadline,
+/// reconnect budget, optional fault plan), and drains. With
+/// `snapshot_every > 0` an incremental SNAPSHOT round trip is logged every
+/// that many waves of each round. Returns the exit code.
 pub fn execute_produce(
     spec: &ServeSpec,
     cfg: &ExpConfig,
     connect: &str,
-    part: usize,
-    parts: usize,
-    snapshot_every: usize,
+    producer: Producer,
     quiet: bool,
     client: ldp_sim::ClientConfig,
 ) -> i32 {
+    let Producer { part, parts, .. } = producer;
     let dataset = spec.dataset.build_sized(cfg, spec.users);
-    let ks = dataset.schema().cardinalities();
-    let pipeline = CollectionPipeline::from_kind(spec.solution, &ks, spec.epsilon)
-        .expect("produce spec validated at parse time")
-        .seed(cfg.seed)
-        .client(client);
+    let pipeline = serve_pipeline(spec, &dataset.schema().cardinalities(), cfg).client(client);
     let traffic = TrafficGenerator::new(spec.shape, dataset.n()).seed(cfg.seed);
     eprintln!(
         "[risks] produce {part}/{parts} → {connect}: {} on {} ({} traffic, {} users, seed {})",
@@ -549,37 +540,14 @@ pub fn execute_produce(
         cfg.seed
     );
     let started = Instant::now();
-    // Multi-round fleets advance via the EPOCH barrier instead of
-    // incremental SNAPSHOT polling, so `snapshot_every` applies only to the
-    // single-round path.
-    let result = if spec.rounds > 1 {
-        pipeline.serve_remote_rounds(
-            &dataset,
-            &traffic,
-            connect,
-            part,
-            parts,
-            spec.rounds,
-            spec.budget,
-        )
-    } else {
-        pipeline.serve_remote_part(
-            &dataset,
-            &traffic,
-            connect,
-            part,
-            parts,
-            snapshot_every,
-            &mut |snapshot| {
-                if !quiet {
-                    eprintln!(
-                        "[risks] produce {part}/{parts}: server aggregate at {} reports",
-                        snapshot.n
-                    );
-                }
-            },
-        )
-    };
+    let result = pipeline.serve_remote(&dataset, &traffic, connect, producer, &mut |snapshot| {
+        if !quiet {
+            eprintln!(
+                "[risks] produce {part}/{parts}: server aggregate at {} reports",
+                snapshot.n
+            );
+        }
+    });
     let wall_secs = started.elapsed().as_secs_f64();
     match result {
         Ok(acked) => {
@@ -718,9 +686,11 @@ mod tests {
                     &spec,
                     &cfg,
                     &addr,
-                    part,
-                    2,
-                    0,
+                    Producer {
+                        part,
+                        parts: 2,
+                        snapshot_every: 0
+                    },
                     true,
                     ldp_sim::ClientConfig::default()
                 ),
@@ -760,7 +730,7 @@ mod tests {
         // Baseline: the in-process longitudinal serve at equal seed.
         let baseline = run_serve(&spec, &cfg);
         assert_eq!(baseline.run.n, 600);
-        assert_eq!(baseline.epochs.len(), 2);
+        assert_eq!(baseline.run.epochs.len(), 2);
         // Networked: one producer drives both rounds through the EPOCH
         // barrier; the drained cumulative aggregate and the retained epoch
         // windows must match bit-for-bit.
@@ -790,9 +760,11 @@ mod tests {
                 &spec,
                 &cfg,
                 &addr,
-                0,
-                1,
-                0,
+                Producer {
+                    part: 0,
+                    parts: 1,
+                    snapshot_every: 0
+                },
                 true,
                 ldp_sim::ClientConfig::default()
             ),
@@ -804,8 +776,8 @@ mod tests {
             outcome.run.aggregator.counts(),
             baseline.run.aggregator.counts()
         );
-        assert_eq!(outcome.epochs.len(), baseline.epochs.len());
-        for (remote, local) in outcome.epochs.iter().zip(&baseline.epochs) {
+        assert_eq!(outcome.run.epochs.len(), baseline.run.epochs.len());
+        for (remote, local) in outcome.run.epochs.iter().zip(&baseline.run.epochs) {
             assert_eq!(remote.epoch, local.epoch);
             assert_eq!(remote.snapshot.n, local.snapshot.n);
             assert_eq!(
@@ -814,6 +786,26 @@ mod tests {
             );
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn windows_csv_keeps_the_newest_retained_epochs() {
+        let spec = ServeSpec {
+            dataset: ServeDataset::Nursery,
+            users: Some(200),
+            rounds: 4,
+            retain: 2,
+            ..ServeSpec::default()
+        };
+        let outcome = run_serve(&spec, &tiny_cfg());
+        assert_eq!(
+            outcome.run.epochs.len(),
+            4,
+            "every window is kept in process"
+        );
+        let table = windows_table(&outcome, spec.retain);
+        let epochs: Vec<&str> = table.rows().iter().map(|row| row[0].as_str()).collect();
+        assert_eq!(epochs, ["2", "3"]);
     }
 
     #[test]

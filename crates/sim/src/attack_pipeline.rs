@@ -1,6 +1,12 @@
-//! The seeded, sharded attack pipeline: dataset → [`CollectionPipeline`]
+//! The seeded, sharded attack pipeline: population → [`CollectionPipeline`]
 //! run → adversary fit (profiles / classifier / index) → **per-target-seeded
 //! ASR evaluation**, thread-count-independent end to end.
+//!
+//! One verb, [`AttackPipeline::run`], covers every collection the driver
+//! can make: it is generic over the [`Population`] (categorical or mixed —
+//! a mixed one hands numeric attacks their continuous ground truth) and
+//! follows the collection's configured [`Rounds`](crate::Rounds) (the
+//! averaging attack pools the round-major multi-round wire).
 //!
 //! The adversary mirror of [`CollectionPipeline`]: where the collection side
 //! streams reports into per-thread aggregator shards, the attack side shards
@@ -44,11 +50,11 @@ use ldp_core::attacks::{
 };
 use ldp_core::profiling::Profile;
 use ldp_core::reident::{MatchScratch, ReidentAttack};
-use ldp_datasets::{Dataset, MixedDataset};
+use ldp_datasets::Dataset;
 use ldp_protocols::ProtocolError;
 
 use crate::par;
-use crate::pipeline::{CollectionPipeline, CollectionRun};
+use crate::pipeline::{CollectionPipeline, CollectionRun, Population};
 
 /// Configurable sharded attack run. Build with [`AttackPipeline::new`] /
 /// [`AttackPipeline::from_kind`], chain the builder setters, then either
@@ -111,99 +117,33 @@ impl AttackPipeline {
         &self.attack
     }
 
-    /// Runs the full pass: the collection pipeline streams the dataset into
-    /// server estimates while the adversary observes the wire
-    /// ([`CollectionPipeline::run_with_observation`] — each user is
-    /// sanitized once), the attack fits its model, and every target is
-    /// scored in parallel shards with per-target rng streams.
+    /// Runs the full pass: the collection pipeline collects `population`
+    /// over its configured rounds while the adversary observes the wire
+    /// ([`CollectionPipeline::run_with_observation`] — each report is
+    /// produced once), the attack fits its model against the per-round
+    /// solution ([`CollectionPipeline::solution`]), and every target is
+    /// scored in parallel shards with per-target rng streams. A mixed
+    /// population also hands the adversary its continuous ground truth, so
+    /// numeric attacks ([`AttackKind::NumericValueRange`]) can fit their
+    /// priors; a multi-round collection feeds the averaging attack
+    /// ([`AttackKind::Averaging`]) its round-major wire.
     ///
     /// # Panics
-    /// Panics when the dataset does not match the collection solution, or
-    /// when the configured attack cannot run against the solution family
-    /// (e.g. sampled-attribute inference against SPL/SMP).
-    pub fn run(&self, collection: &CollectionPipeline, dataset: &Dataset) -> AttackRun {
+    /// Panics when the population does not match the collection solution,
+    /// or when the configured attack cannot run against the solution family
+    /// or wire length (e.g. sampled-attribute inference against SPL/SMP).
+    pub fn run(&self, collection: &CollectionPipeline, population: &impl Population) -> AttackRun {
         // Analytic attacks never read the wire: keep those runs memory-flat.
         let (crun, observed) = if self.attack.needs_observation() {
-            collection.run_with_observation(dataset)
+            collection.run_with_observation(population)
         } else {
-            (collection.run(dataset), Vec::new())
+            (collection.run(population), Vec::new())
         };
         let view = AdversaryView {
-            dataset,
+            dataset: population.categorical(),
             solution: collection.solution(),
             observed: &observed,
-            numeric_truth: None,
-        };
-        let fitted = self.attack.fit(&view, &mut attacks::fit_rng(self.seed));
-        let outcome = self.evaluate(fitted.as_ref());
-        AttackRun {
-            outcome,
-            collection: crun,
-            fitted,
-        }
-    }
-
-    /// The longitudinal pass behind [`AttackKind::Averaging`]: the
-    /// collection pipeline replays `rounds` rounds of the campaign under
-    /// `policy` ([`CollectionPipeline::observe_rounds`] — a round-major
-    /// `rounds·n` wire sanitized with the per-round solution, ε/R under
-    /// ε-splitting), the attack fits over the pooled wire, and every target
-    /// is scored in parallel shards. The returned
-    /// [`AttackRun::collection`] aggregates the full multi-round wire.
-    ///
-    /// # Panics
-    /// Panics when the dataset does not match the collection solution, or
-    /// when the configured attack rejects the solution family or wire
-    /// length.
-    pub fn run_rounds(
-        &self,
-        collection: &CollectionPipeline,
-        dataset: &Dataset,
-        rounds: usize,
-        policy: crate::pipeline::BudgetPolicy,
-    ) -> Result<AttackRun, ProtocolError> {
-        let (round_solution, observed) = collection.observe_rounds(dataset, rounds, policy)?;
-        let view = AdversaryView {
-            dataset,
-            solution: &round_solution,
-            observed: &observed,
-            numeric_truth: None,
-        };
-        let fitted = self.attack.fit(&view, &mut attacks::fit_rng(self.seed));
-        let outcome = self.evaluate(fitted.as_ref());
-        let mut aggregator = round_solution.aggregator();
-        for report in &observed {
-            aggregator.absorb(report);
-        }
-        Ok(AttackRun {
-            outcome,
-            collection: CollectionRun::from_snapshot(ldp_server::ServerSnapshot::from_aggregator(
-                aggregator, 1,
-            )),
-            fitted,
-        })
-    }
-
-    /// [`AttackPipeline::run`] over a mixed categorical + continuous round:
-    /// the collection pass sanitizes through
-    /// [`CollectionPipeline::run_mixed`] and the adversary's view carries the
-    /// continuous ground truth, so numeric attacks
-    /// ([`AttackKind::NumericValueRange`]) can fit their priors.
-    ///
-    /// # Panics
-    /// Panics when the mixed dataset does not match the collection solution,
-    /// or when the configured attack cannot run against mixed rounds.
-    pub fn run_mixed(&self, collection: &CollectionPipeline, mixed: &MixedDataset) -> AttackRun {
-        let (crun, observed) = if self.attack.needs_observation() {
-            collection.run_with_observation_mixed(mixed)
-        } else {
-            (collection.run_mixed(mixed), Vec::new())
-        };
-        let view = AdversaryView {
-            dataset: mixed.cat(),
-            solution: collection.solution(),
-            observed: &observed,
-            numeric_truth: Some(mixed),
+            numeric_truth: population.numeric_truth(),
         };
         let fitted = self.attack.fit(&view, &mut attacks::fit_rng(self.seed));
         let outcome = self.evaluate(fitted.as_ref());
@@ -443,7 +383,7 @@ mod tests {
         }))
         .unwrap()
         .seed(7);
-        let run = pipeline.clone().threads(1).run_mixed(&collection, &mixed);
+        let run = pipeline.clone().threads(1).run(&collection, &mixed);
         let serial = evaluate_serial(run.fitted.as_ref(), 7);
         assert_eq!(run.collection.n, 800);
         for threads in [2usize, 8] {
@@ -459,7 +399,7 @@ mod tests {
 
     #[test]
     fn longitudinal_averaging_runs_and_memoize_stays_exactly_flat() {
-        use crate::pipeline::BudgetPolicy;
+        use crate::pipeline::{BudgetPolicy, Rounds};
         use ldp_core::attacks::AveragingConfig;
         let ds = adult_like(400, 5);
         let ks = ds.schema().cardinalities();
@@ -477,12 +417,14 @@ mod tests {
             .seed(17)
             .threads(3)
         };
-        let one = attack_at(1)
-            .run_rounds(&collection, &ds, 1, BudgetPolicy::Memoize)
-            .unwrap();
-        let four = attack_at(4)
-            .run_rounds(&collection, &ds, 4, BudgetPolicy::Memoize)
-            .unwrap();
+        let memoized = |rounds: usize| {
+            collection
+                .clone()
+                .rounds(Rounds::new(rounds, BudgetPolicy::Memoize).unwrap())
+                .unwrap()
+        };
+        let one = attack_at(1).run(&memoized(1), &ds);
+        let four = attack_at(4).run(&memoized(4), &ds);
         let (a, b) = (
             one.outcome.reident().unwrap(),
             four.outcome.reident().unwrap(),

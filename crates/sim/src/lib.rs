@@ -12,10 +12,13 @@
 //! * [`rsfd_campaign`] — the Fig. 4 pipeline: RS+FD collection where the
 //!   adversary must first *infer* the sampled attribute with the §3.3
 //!   classifier before profiling.
-//! * [`pipeline::CollectionPipeline`] — the streaming frequency-estimation
-//!   pipeline: dataset → solution → sharded aggregators → merged estimates,
-//!   memory-flat in the population size.
-//! * [`attack_pipeline::AttackPipeline`] — the adversary mirror: dataset →
+//! * [`pipeline::CollectionPipeline`] — the collection driver: population →
+//!   solution → sharded aggregators → merged estimates. Four verbs (`run`,
+//!   `run_with_observation`, `serve`, `serve_remote`), each generic over a
+//!   [`Population`] (categorical [`ldp_datasets::Dataset`] or
+//!   [`ldp_datasets::MixedDataset`]) and repeated over the configured
+//!   [`Rounds`] (count × [`BudgetPolicy`]).
+//! * [`attack_pipeline::AttackPipeline`] — the adversary mirror: population →
 //!   collection run → adversary fit (profiles / classifier / index) →
 //!   sharded, per-target-seeded ASR evaluation, bit-identical for every
 //!   thread count.
@@ -53,7 +56,8 @@ pub use campaign::{PrivacyModel, SamplingSetting, SmpCampaign};
 pub use fault::{FaultKind, FaultPlan};
 pub use net_client::{ClientConfig, NetClient};
 pub use pipeline::{
-    user_rng, user_rng_round, BudgetPolicy, CollectionPipeline, CollectionRun, LongitudinalRun,
+    user_rng, user_rng_round, BudgetPolicy, CollectionPipeline, CollectionRun, Population,
+    Producer, Rounds, ZeroRounds,
 };
 pub use rsfd_campaign::{run_rsfd_campaign, RsFdCampaignConfig};
 pub use survey::SurveyPlan;

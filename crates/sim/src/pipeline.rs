@@ -1,39 +1,57 @@
-//! The streaming collection pipeline: dataset → solution → sharded
-//! aggregators → merged estimates, in one configurable, deterministic,
-//! thread-parallel pass.
+//! The collection driver: population → solution → sharded aggregators →
+//! merged estimates, in one configurable, deterministic, thread-parallel
+//! pass.
 //!
-//! This is the paper's §3.1 server loop at production shape: each worker
-//! thread sanitizes its user range and absorbs the reports **directly** into
-//! its own [`MultidimAggregator`] shard — no report is ever buffered — and
-//! the shards are merged exactly (integer counts), so results are
-//! bit-identical for every thread count and peak memory is
-//! `O(threads · Σ_j k_j)` regardless of the population size.
+//! This is the paper's §3.1 server loop at production shape. One
+//! [`CollectionPipeline`] drives every collection through four verbs, each
+//! generic over the [`Population`] it collects (a categorical [`Dataset`]
+//! or a [`MixedDataset`]) and repeated over the configured [`Rounds`]:
 //!
-//! The per-user sanitize calls route through the protocols' word-parallel
-//! paths (UE reports are built whole-word, never bit-by-bit — see the
-//! sanitize budget in `docs/ARCHITECTURE.md`), and each user draws from its
-//! own O(1)-seeded [`rand::rngs::SmallRng`] stream ([`crate::user_rng`]), so
-//! a draw-count change inside one user's sanitization can never shift
-//! another user's randomness — serial/sharded bit-identity survives
-//! protocol-internal sampling changes.
+//! * [`CollectionPipeline::run`] — the batch pass: each worker thread
+//!   sanitizes its user range and absorbs the reports **directly** into its
+//!   own [`MultidimAggregator`] shard (no report is buffered), and the
+//!   shards merge exactly (integer counts), so results are bit-identical
+//!   for every thread count and peak memory is `O(threads · Σ_j k_j)`.
+//! * [`CollectionPipeline::run_with_observation`] — the same pass that also
+//!   hands back the round-major wire the §3.1 adversary observes.
+//! * [`CollectionPipeline::serve`] — the streamed pass through an
+//!   [`LdpServer`] following a [`TrafficGenerator`] arrival schedule.
+//! * [`CollectionPipeline::serve_remote`] — one producer of a fleet
+//!   streaming to a remote [`WireServer`](ldp_server::WireServer).
+//!
+//! All four sanitize user `uid` in round `r` with the same call: the
+//! population's report under the per-round solution, drawn from
+//! [`user_rng_round`]. The per-user sanitize calls route through the
+//! protocols' word-parallel paths (UE reports are built whole-word, never
+//! bit-by-bit — see the sanitize budget in `docs/ARCHITECTURE.md`), and
+//! each user draws from its own O(1)-seeded [`rand::rngs::SmallRng`]
+//! stream, so a draw-count change inside one user's sanitization can never
+//! shift another user's randomness — serial/sharded/streamed/wire
+//! bit-identity survives protocol-internal sampling changes.
 //!
 //! ```
 //! use ldp_core::solutions::{RsFdProtocol, SolutionKind};
-//! use ldp_sim::CollectionPipeline;
+//! use ldp_sim::{BudgetPolicy, CollectionPipeline, Rounds};
 //! use ldp_datasets::corpora::adult_like;
 //!
 //! let dataset = adult_like(5_000, 7);
-//! let run = CollectionPipeline::from_kind(
+//! let pipeline = CollectionPipeline::from_kind(
 //!     SolutionKind::RsFd(RsFdProtocol::Grr),
 //!     &dataset.schema().cardinalities(),
 //!     1.0,
 //! )
 //! .unwrap()
 //! .seed(42)
-//! .threads(4)
-//! .run(&dataset);
+//! .threads(4);
+//! let run = pipeline.run(&dataset);
 //! assert_eq!(run.n, 5_000);
 //! assert_eq!(run.estimates.len(), dataset.d());
+//!
+//! // Three rounds at ε/3 each: one window per round plus the cumulative run.
+//! let rounds = Rounds::new(3, BudgetPolicy::SplitEps).unwrap();
+//! let longitudinal = pipeline.rounds(rounds).unwrap().run(&dataset);
+//! assert_eq!(longitudinal.n, 15_000);
+//! assert_eq!(longitudinal.epochs.len(), 3);
 //! ```
 
 use ldp_core::solutions::{DynSolution, MultidimAggregator, SolutionKind, SolutionReport};
@@ -44,6 +62,7 @@ use ldp_server::{Envelope, EpochSnapshot, LdpServer, ServerConfig, ServerSnapsho
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+use crate::net_client::{ClientConfig, NetClient};
 use crate::par;
 use crate::traffic::TrafficGenerator;
 
@@ -114,34 +133,6 @@ impl BudgetPolicy {
     pub fn from_id(id: &str) -> Option<BudgetPolicy> {
         BudgetPolicy::ALL.into_iter().find(|p| p.id() == id)
     }
-
-    /// The solution one round of an `R`-round campaign collects with:
-    /// the same solution at ε/R for [`BudgetPolicy::SplitEps`], the
-    /// full-budget solution unchanged for [`BudgetPolicy::Memoize`]. Both
-    /// the producers and the server must build this (equal fingerprints on
-    /// the wire).
-    pub fn round_solution(
-        self,
-        solution: &DynSolution,
-        rounds: usize,
-    ) -> Result<DynSolution, ProtocolError> {
-        match self {
-            BudgetPolicy::Memoize => Ok(solution.clone()),
-            BudgetPolicy::SplitEps => solution
-                .kind()
-                .build(solution.ks(), solution.epsilon() / rounds.max(1) as f64),
-        }
-    }
-
-    /// The rng round that produces round `round`'s report under this
-    /// policy: memoization replays round 0's stream, ε-splitting draws
-    /// fresh randomness per round.
-    pub fn rng_round(self, round: u64) -> u64 {
-        match self {
-            BudgetPolicy::Memoize => 0,
-            BudgetPolicy::SplitEps => round,
-        }
-    }
 }
 
 impl std::fmt::Display for BudgetPolicy {
@@ -150,54 +141,208 @@ impl std::fmt::Display for BudgetPolicy {
     }
 }
 
-/// The outcome of a streamed longitudinal pass
-/// ([`CollectionPipeline::serve_rounds`]): the cumulative drain over every
-/// round plus the server's retained per-epoch windowed snapshots.
-#[derive(Debug, Clone)]
-pub struct LongitudinalRun {
-    /// The full-campaign drain (all rounds merged) — bit-identical to
-    /// batch-collecting every round's reports.
-    pub cumulative: CollectionRun,
-    /// The retained closed-epoch snapshots, oldest first (at most the
-    /// server's configured retention).
-    pub epochs: Vec<EpochSnapshot>,
+/// How many times every user reports, and how the total budget is spent
+/// across those rounds. Set once with [`CollectionPipeline::rounds`];
+/// the default is a single round, the paper's one-shot survey.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Rounds {
+    count: usize,
+    policy: BudgetPolicy,
 }
 
-/// Configurable streaming collection run over one dataset. Build with
-/// [`CollectionPipeline::new`] / [`CollectionPipeline::from_kind`], chain the
-/// builder setters, then [`CollectionPipeline::run`].
+/// The error [`Rounds::new`] returns for a zero round count: a campaign
+/// collects at least once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ZeroRounds;
+
+impl std::fmt::Display for ZeroRounds {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("a collection campaign needs at least one round")
+    }
+}
+
+impl std::error::Error for ZeroRounds {}
+
+impl Default for Rounds {
+    fn default() -> Self {
+        Rounds {
+            count: 1,
+            policy: BudgetPolicy::SplitEps,
+        }
+    }
+}
+
+impl Rounds {
+    /// `count` rounds under `policy`; [`ZeroRounds`] when `count == 0`.
+    pub fn new(count: usize, policy: BudgetPolicy) -> Result<Rounds, ZeroRounds> {
+        if count == 0 {
+            return Err(ZeroRounds);
+        }
+        Ok(Rounds { count, policy })
+    }
+
+    /// The solution one round collects with, given the campaign's
+    /// total-budget solution: the same solution at ε/R under
+    /// [`BudgetPolicy::SplitEps`], the total one unchanged under
+    /// [`BudgetPolicy::Memoize`] or at a single round. Producers and server
+    /// must both build this one (equal fingerprints on the wire).
+    pub fn solution(self, total: &DynSolution) -> Result<DynSolution, ProtocolError> {
+        match self.policy {
+            BudgetPolicy::SplitEps if self.count > 1 => total
+                .kind()
+                .build(total.ks(), total.epsilon() / self.count as f64),
+            _ => Ok(total.clone()),
+        }
+    }
+
+    /// The rng round that produces round `round`'s report: memoization
+    /// replays round 0's stream, ε-splitting draws fresh randomness.
+    fn rng_round(self, round: u64) -> u64 {
+        match self.policy {
+            BudgetPolicy::Memoize => 0,
+            BudgetPolicy::SplitEps => round,
+        }
+    }
+}
+
+/// A population the pipeline can collect: `n` users, each of whom turns
+/// their own record into one sanitized report.
+pub trait Population: Sync {
+    /// Number of users.
+    fn n(&self) -> usize;
+
+    /// Panics when the population's schema does not match `solution`.
+    fn check(&self, solution: &DynSolution);
+
+    /// User `uid`'s report under `solution`, drawn from `rng`.
+    fn report(&self, solution: &DynSolution, uid: usize, rng: &mut SmallRng) -> SolutionReport;
+
+    /// The categorical records (the adversary's background knowledge).
+    fn categorical(&self) -> &Dataset;
+
+    /// The continuous ground truth of a mixed population, `None` for a
+    /// purely categorical one.
+    fn numeric_truth(&self) -> Option<&MixedDataset>;
+}
+
+impl Population for Dataset {
+    fn n(&self) -> usize {
+        Dataset::n(self)
+    }
+
+    fn check(&self, solution: &DynSolution) {
+        assert_eq!(
+            self.d(),
+            solution.d(),
+            "dataset does not match the solution schema"
+        );
+    }
+
+    fn report(&self, solution: &DynSolution, uid: usize, rng: &mut SmallRng) -> SolutionReport {
+        solution.report(self.row(uid), rng)
+    }
+
+    fn categorical(&self) -> &Dataset {
+        self
+    }
+
+    fn numeric_truth(&self) -> Option<&MixedDataset> {
+        None
+    }
+}
+
+/// Each user's categorical row and normalized numeric row are sanitized
+/// together through [`DynSolution::report_mixed`]; the solution must be a
+/// mixed one.
+impl Population for MixedDataset {
+    fn n(&self) -> usize {
+        MixedDataset::n(self)
+    }
+
+    fn check(&self, solution: &DynSolution) {
+        assert_eq!(
+            self.ks(),
+            solution.ks().to_vec(),
+            "mixed dataset does not match the solution's heterogeneous ks"
+        );
+    }
+
+    /// The dataset validated every numeric value at construction, so a
+    /// reporting error here is a bug, not bad input.
+    fn report(&self, solution: &DynSolution, uid: usize, rng: &mut SmallRng) -> SolutionReport {
+        solution
+            .report_mixed(self.cat().row(uid), self.num_row(uid), rng)
+            .expect("mixed dataset values are validated at construction")
+    }
+
+    fn categorical(&self) -> &Dataset {
+        self.cat()
+    }
+
+    fn numeric_truth(&self) -> Option<&MixedDataset> {
+        Some(self)
+    }
+}
+
+/// One producer's share of a [`CollectionPipeline::serve_remote`] fleet:
+/// it streams the users with `uid % parts == part`, so `parts` producers
+/// each running a distinct `part` cover the population exactly once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Producer {
+    /// This producer's index in `0..parts`.
+    pub part: usize,
+    /// Fleet size.
+    pub parts: usize,
+    /// With `snapshot_every > 0`, a non-quiescing SNAPSHOT round trip every
+    /// that many waves of each round (the estimate-while-ingesting stream).
+    pub snapshot_every: usize,
+}
+
+/// Configurable collection driver. Build with [`CollectionPipeline::new`] /
+/// [`CollectionPipeline::from_kind`], chain the builder setters, then call
+/// one of the four verbs.
 #[derive(Debug, Clone)]
 pub struct CollectionPipeline {
+    /// The configured solution, carrying the campaign's total budget.
+    total: DynSolution,
+    /// The solution every round sanitizes with (derived from `total`).
     solution: DynSolution,
+    rounds: Rounds,
     seed: u64,
     threads: usize,
-    net: crate::net_client::ClientConfig,
+    net: ClientConfig,
 }
 
 /// The outcome of one pipeline pass.
 #[derive(Debug, Clone)]
 pub struct CollectionRun {
-    /// The merged server state (reusable: keep absorbing or merge further
-    /// shards, e.g. from other collection sites).
+    /// The merged server state over every round (reusable: keep absorbing
+    /// or merge further shards, e.g. from other collection sites).
     pub aggregator: MultidimAggregator,
     /// Unbiased per-attribute frequency estimates.
     pub estimates: Vec<Vec<f64>>,
     /// Estimates projected onto the probability simplex.
     pub normalized: Vec<Vec<f64>>,
-    /// Number of users collected.
+    /// Number of reports collected (users × rounds).
     pub n: u64,
     /// Number of parallel shards that were merged.
     pub shards: usize,
+    /// One window per round of a multi-round run, oldest first, each
+    /// holding exactly that round's reports; empty for a single round.
+    pub epochs: Vec<EpochSnapshot>,
 }
 
 impl CollectionPipeline {
-    /// Wraps an already-built solution with default seed and thread count.
+    /// Wraps an already-built solution with default seed and thread count,
+    /// collecting one round.
     pub fn new(solution: DynSolution) -> Self {
         CollectionPipeline {
+            total: solution.clone(),
             solution,
+            rounds: Rounds::default(),
             seed: 0,
             threads: par::default_threads(),
-            net: crate::net_client::ClientConfig::default(),
+            net: ClientConfig::default(),
         }
     }
 
@@ -225,656 +370,286 @@ impl CollectionPipeline {
     }
 
     /// Sets the client-side wire behavior (auth, deadlines, reconnect
-    /// policy, fault injection) the `serve_remote*` producers connect with.
-    /// In-process passes ignore it.
-    pub fn client(mut self, cfg: crate::net_client::ClientConfig) -> Self {
+    /// policy, fault injection) [`CollectionPipeline::serve_remote`]
+    /// connects with. In-process passes ignore it.
+    pub fn client(mut self, cfg: ClientConfig) -> Self {
         self.net = cfg;
         self
     }
 
-    /// The configured solution.
+    /// Collects over `rounds`: the configured solution carries the
+    /// **total** budget, and the per-round solution is derived from it
+    /// ([`Rounds::solution`]), so setting rounds again replaces the split
+    /// instead of splitting ε twice. Every round's report of user `uid`
+    /// draws from [`user_rng_round`] — fresh per round under
+    /// [`BudgetPolicy::SplitEps`], round 0's replayed under
+    /// [`BudgetPolicy::Memoize`] (the functional definition of
+    /// memoization, with no per-user cache).
+    pub fn rounds(mut self, rounds: Rounds) -> Result<Self, ProtocolError> {
+        self.solution = rounds.solution(&self.total)?;
+        self.rounds = rounds;
+        Ok(self)
+    }
+
+    /// The solution every report is sanitized with: the configured one for
+    /// a single round, its per-round derivation otherwise (ε/R under
+    /// [`BudgetPolicy::SplitEps`]). A server ingesting this pipeline's
+    /// reports, and an attack matching them, must use this one.
     pub fn solution(&self) -> &DynSolution {
         &self.solution
     }
 
-    /// Runs the pass: every user's tuple is sanitized with its own
-    /// deterministic RNG and absorbed straight into a per-thread aggregator
-    /// shard; shards merge into [`CollectionRun::aggregator`].
+    /// The batch pass: every user's record is sanitized with its own
+    /// deterministic rng and absorbed straight into a per-thread aggregator
+    /// shard, once per round; shards merge exactly into the returned run,
+    /// and each round's merge is kept as one of its
+    /// [`CollectionRun::epochs`] when there are several.
     ///
     /// # Panics
-    /// Panics when the dataset's attribute count differs from the
-    /// solution's.
-    pub fn run(&self, dataset: &Dataset) -> CollectionRun {
-        self.assert_dataset(dataset);
-        self.run_source(dataset.n(), self.dataset_reporter(dataset))
-    }
-
-    /// [`CollectionPipeline::run`] over a mixed categorical + continuous
-    /// dataset: each user's categorical row and normalized numeric row are
-    /// sanitized together through [`DynSolution::report_mixed`]. Identical
-    /// determinism contract (per-user [`user_rng`] streams, exact shard
-    /// merge).
-    ///
-    /// # Panics
-    /// Panics when the dataset's heterogeneous `ks` differ from the
-    /// solution's (the solution must be a mixed one).
-    pub fn run_mixed(&self, mixed: &MixedDataset) -> CollectionRun {
-        self.assert_mixed(mixed);
-        self.run_source(mixed.n(), self.mixed_reporter(mixed))
-    }
-
-    fn run_source(
-        &self,
-        n: usize,
-        report: impl Fn(usize, &mut SmallRng) -> SolutionReport + Sync,
-    ) -> CollectionRun {
-        let shards = self.sanitize_shards(
-            n,
-            report,
+    /// Panics when the population does not match the solution schema.
+    pub fn run(&self, population: &impl Population) -> CollectionRun {
+        self.collect(
+            population,
             || self.solution.aggregator(),
             |agg, report| agg.absorb(&report),
-        );
-        self.merge_shards(shards)
+            |agg| agg,
+        )
     }
 
-    /// [`CollectionPipeline::run`] that also hands back the wire: each user
-    /// is sanitized **once**, the report is absorbed into its thread's
-    /// aggregator shard *and* kept as the §3.1 adversary's observation.
-    /// Buffers `O(n)` reports (the adversary must hold the wire anyway);
-    /// use [`CollectionPipeline::run`] when nothing observes the messages.
+    /// [`CollectionPipeline::run`] that also hands back the wire: each
+    /// report is produced **once**, absorbed into its thread's aggregator
+    /// shard *and* kept as the §3.1 adversary's observation, round-major
+    /// (round `r`'s reports occupy `r·n .. (r+1)·n`, each round in user
+    /// order). Buffers every report (the adversary must hold the wire
+    /// anyway); use [`CollectionPipeline::run`] when nothing observes it.
     ///
     /// # Panics
-    /// Panics when the dataset's attribute count differs from the
-    /// solution's.
-    pub fn run_with_observation(&self, dataset: &Dataset) -> (CollectionRun, Vec<SolutionReport>) {
-        self.assert_dataset(dataset);
-        self.run_with_observation_source(dataset.n(), self.dataset_reporter(dataset))
-    }
-
-    /// [`CollectionPipeline::run_with_observation`] over a mixed dataset —
-    /// the single-sanitization-pass entry for numeric attacks.
-    ///
-    /// # Panics
-    /// Panics when the dataset's heterogeneous `ks` differ from the
-    /// solution's.
-    pub fn run_with_observation_mixed(
+    /// Panics when the population does not match the solution schema.
+    pub fn run_with_observation(
         &self,
-        mixed: &MixedDataset,
+        population: &impl Population,
     ) -> (CollectionRun, Vec<SolutionReport>) {
-        self.assert_mixed(mixed);
-        self.run_with_observation_source(mixed.n(), self.mixed_reporter(mixed))
-    }
-
-    fn run_with_observation_source(
-        &self,
-        n: usize,
-        report: impl Fn(usize, &mut SmallRng) -> SolutionReport + Sync,
-    ) -> (CollectionRun, Vec<SolutionReport>) {
-        let chunks = self.sanitize_shards(
-            n,
-            report,
+        let mut observed = Vec::with_capacity(self.rounds.count * population.n());
+        let run = self.collect(
+            population,
             || (self.solution.aggregator(), Vec::new()),
             |(agg, reports), report| {
                 agg.absorb(&report);
                 reports.push(report);
             },
+            |(agg, reports)| {
+                observed.extend(reports);
+                agg
+            },
         );
-        let mut shards = Vec::with_capacity(chunks.len());
-        let mut observed = Vec::with_capacity(n);
-        for (agg, reports) in chunks {
-            shards.push(agg);
-            observed.extend(reports);
-        }
-        (self.merge_shards(shards), observed)
+        (run, observed)
     }
 
-    /// Regenerates the exact sanitized messages a [`CollectionPipeline::run`]
-    /// with this configuration absorbs — the §3.1 adversary's wire view.
-    /// Per-user randomness derives from the same `(seed, uid)` streams as
-    /// the collection pass, so what the attack observes is bit-identical to
-    /// what the server aggregated. Prefer
-    /// [`CollectionPipeline::run_with_observation`] when the collection run
-    /// is needed too (one sanitization pass instead of two).
-    pub fn observe(&self, dataset: &Dataset) -> Vec<SolutionReport> {
-        self.assert_dataset(dataset);
-        self.sanitize_shards(
-            dataset.n(),
-            self.dataset_reporter(dataset),
-            Vec::new,
-            |reports, report| reports.push(report),
-        )
-        .into_iter()
-        .flatten()
-        .collect()
-    }
-
-    /// [`CollectionPipeline::observe`] over a mixed dataset.
+    /// The streamed pass: spins up an [`LdpServer`] with one shard per
+    /// configured thread and, round by round, pushes every user's report
+    /// through its bounded channels following the round's `traffic`
+    /// schedule ([`TrafficGenerator::waves_for_round`]), then drains it.
+    /// The thread count drives **both** sides of the channel: each wave is
+    /// sanitized by up to `threads` concurrent producers feeding `threads`
+    /// aggregator shards. With several rounds, each one is closed with
+    /// [`LdpServer::advance_epoch`] and every window is returned.
+    ///
+    /// Every user arrives exactly once per round whatever the traffic
+    /// shape, and the server's merge is exact integer addition, so the
+    /// result — cumulative run and every epoch window — is
+    /// **bit-identical** to [`CollectionPipeline::run`] at equal seed, for
+    /// every thread count and [`TrafficShape`](crate::traffic::TrafficShape)
+    /// (property-tested in `tests/server_equivalence.rs`).
     ///
     /// # Panics
-    /// Panics when the dataset's heterogeneous `ks` differ from the
-    /// solution's.
-    pub fn observe_mixed(&self, mixed: &MixedDataset) -> Vec<SolutionReport> {
-        self.assert_mixed(mixed);
-        self.sanitize_shards(
-            mixed.n(),
-            self.mixed_reporter(mixed),
-            Vec::new,
-            |reports, report| reports.push(report),
-        )
-        .into_iter()
-        .flatten()
-        .collect()
-    }
-
-    /// The streamed twin of [`CollectionPipeline::run`]: spins up an
-    /// [`LdpServer`] with one shard per configured thread, pushes every
-    /// user's sanitized report through its bounded channels following the
-    /// `traffic` arrival schedule, and gracefully drains it. The configured
-    /// thread count drives **both** sides of the channel: each wave is
-    /// sanitized by up to `threads` concurrent producers (the server's
-    /// sender side is `Sync`) feeding `threads` aggregator shards.
-    ///
-    /// Per-user randomness derives from the same `(seed, uid)` streams as
-    /// `run`, every user arrives exactly once whatever the traffic shape,
-    /// and the server's shard merge is exact integer addition (independent
-    /// of producer interleaving) — so the returned run is **bit-identical**
-    /// to `run(dataset)` at equal seed, for every thread count and every
-    /// [`TrafficShape`](crate::traffic::TrafficShape) (property-tested in
-    /// `tests/server_equivalence.rs`).
-    ///
-    /// # Panics
-    /// Panics when the dataset's attribute count differs from the
-    /// solution's, or when `traffic` was built for a different population
-    /// size.
-    pub fn serve(&self, dataset: &Dataset, traffic: &TrafficGenerator) -> CollectionRun {
-        self.assert_dataset(dataset);
-        self.serve_source(dataset.n(), traffic, self.dataset_reporter(dataset))
-    }
-
-    /// [`CollectionPipeline::serve`] over a mixed dataset: the streamed
-    /// server drain of a mixed round, bit-identical to
-    /// [`CollectionPipeline::run_mixed`] at equal seed for every thread
-    /// count and traffic shape.
-    ///
-    /// # Panics
-    /// Panics when the dataset's heterogeneous `ks` differ from the
-    /// solution's, or when `traffic` was built for a different population
-    /// size.
-    pub fn serve_mixed(&self, mixed: &MixedDataset, traffic: &TrafficGenerator) -> CollectionRun {
-        self.assert_mixed(mixed);
-        self.serve_source(mixed.n(), traffic, self.mixed_reporter(mixed))
-    }
-
-    fn serve_source(
-        &self,
-        n: usize,
-        traffic: &TrafficGenerator,
-        report: impl Fn(usize, &mut SmallRng) -> SolutionReport + Sync,
-    ) -> CollectionRun {
-        assert_eq!(
-            traffic.n(),
-            n,
-            "traffic schedule does not match the dataset population"
-        );
-        let server = LdpServer::spawn(
-            self.solution.clone(),
-            ServerConfig::default().shards(self.threads),
-        );
-        self.serve_round_into(&server, traffic, 0, 0, &report);
-        CollectionRun::from_snapshot(server.drain())
-    }
-
-    /// Streams one collection round's waves into a running server: arrivals
-    /// follow `traffic.waves_for_round(round)`, per-user randomness draws
-    /// from [`user_rng_round`]`(seed, uid, rng_round)`. The two round
-    /// indices differ only under memoization, which replays round 0's
-    /// reports (`rng_round == 0`) on every round's own arrival schedule.
-    /// The single-round [`CollectionPipeline::serve`] is exactly `(0, 0)`.
-    fn serve_round_into(
-        &self,
-        server: &LdpServer,
-        traffic: &TrafficGenerator,
-        round: u64,
-        rng_round: u64,
-        report: &(impl Fn(usize, &mut SmallRng) -> SolutionReport + Sync),
-    ) {
+    /// Panics when the population does not match the solution schema, or
+    /// when `traffic` was built for a different population size.
+    pub fn serve(&self, population: &impl Population, traffic: &TrafficGenerator) -> CollectionRun {
         // Scoped producer threads are spawned per wave, so don't fan a small
         // wave out across the full thread budget: below this many users per
         // producer the spawn/join churn outweighs the parallel sanitization
         // (a steady 10M-user schedule has ~10k waves).
         const MIN_USERS_PER_PRODUCER: usize = 4096;
-        for wave in traffic.waves_for_round(round) {
-            // Parallel producers: sanitization dominates the cost, so the
-            // wave is split into contiguous chunks ingested concurrently.
-            let producers = self
-                .threads
-                .min(wave.len().div_ceil(MIN_USERS_PER_PRODUCER))
-                .max(1);
-            par::par_chunks(wave.len(), producers, |range| {
-                server.ingest_batch(wave[range].iter().map(|&uid| {
-                    let mut rng = user_rng_round(self.seed, uid, rng_round);
-                    Envelope {
-                        uid,
-                        report: report(uid as usize, &mut rng),
-                    }
-                }));
-                Vec::<()>::new()
-            });
-        }
-    }
-
-    /// The pipeline one round of an `R`-round campaign under `policy`
-    /// collects with: same seed and threads, solution rebuilt by
-    /// [`BudgetPolicy::round_solution`].
-    fn round_pipeline(
-        &self,
-        policy: BudgetPolicy,
-        rounds: usize,
-    ) -> Result<CollectionPipeline, ProtocolError> {
-        Ok(CollectionPipeline {
-            solution: policy.round_solution(&self.solution, rounds)?,
-            seed: self.seed,
-            threads: self.threads,
-            net: self.net.clone(),
-        })
-    }
-
-    /// The longitudinal twin of [`CollectionPipeline::run`]: collects the
-    /// same population over `rounds` rounds under `policy`, returning one
-    /// [`CollectionRun`] per round. The configured solution carries the
-    /// **total** budget ε; [`BudgetPolicy::SplitEps`] sanitizes each round
-    /// with fresh randomness at ε/R, [`BudgetPolicy::Memoize`] computes the
-    /// round-0 report at full ε and replays it bit-identically (rounds > 0
-    /// re-derive the identical report from the identical rng stream — the
-    /// functional definition of memoization, with no per-user cache).
-    ///
-    /// # Panics
-    /// Panics when the dataset's attribute count differs from the
-    /// solution's.
-    pub fn run_rounds(
-        &self,
-        dataset: &Dataset,
-        rounds: usize,
-        policy: BudgetPolicy,
-    ) -> Result<Vec<CollectionRun>, ProtocolError> {
-        self.assert_dataset(dataset);
-        let rounds = rounds.max(1);
-        let per_round = self.round_pipeline(policy, rounds)?;
-        Ok((0..rounds as u64)
-            .map(|round| {
-                let shards = per_round.sanitize_shards_round(
-                    dataset.n(),
-                    per_round.dataset_reporter(dataset),
-                    || per_round.solution.aggregator(),
-                    |agg, report| agg.absorb(&report),
-                    policy.rng_round(round),
-                );
-                per_round.merge_shards(shards)
-            })
-            .collect())
-    }
-
-    /// The longitudinal twin of [`CollectionPipeline::observe`]: the full
-    /// `rounds · n` wire a longitudinal adversary captures, round-major
-    /// (round `r`'s reports occupy `r*n .. (r+1)*n`, each round in user
-    /// order). Also returns the per-round solution the reports were
-    /// sanitized with (ε/R under [`BudgetPolicy::SplitEps`]) — the attack
-    /// needs it to build its matching profiles.
-    ///
-    /// # Panics
-    /// Panics when the dataset's attribute count differs from the
-    /// solution's.
-    pub fn observe_rounds(
-        &self,
-        dataset: &Dataset,
-        rounds: usize,
-        policy: BudgetPolicy,
-    ) -> Result<(DynSolution, Vec<SolutionReport>), ProtocolError> {
-        self.assert_dataset(dataset);
-        let rounds = rounds.max(1);
-        let per_round = self.round_pipeline(policy, rounds)?;
-        let mut observed = Vec::with_capacity(rounds * dataset.n());
-        for round in 0..rounds as u64 {
-            let chunks = per_round.sanitize_shards_round(
-                dataset.n(),
-                per_round.dataset_reporter(dataset),
-                Vec::new,
-                |reports, report| reports.push(report),
-                policy.rng_round(round),
-            );
-            observed.extend(chunks.into_iter().flatten());
-        }
-        Ok((per_round.solution, observed))
-    }
-
-    /// The streamed twin of [`CollectionPipeline::run_rounds`]: serves
-    /// `rounds` epochs against one [`LdpServer`], each round following its
-    /// own re-randomized arrival schedule
-    /// ([`TrafficGenerator::waves_for_round`]) and closed with
-    /// [`LdpServer::advance_epoch`], retaining the last `retain` windowed
-    /// epoch snapshots. Round `r`'s epoch snapshot is **bit-identical** to
-    /// `run_rounds(..)[r]` and the cumulative drain to all rounds merged,
-    /// for every thread count and traffic shape.
-    ///
-    /// # Panics
-    /// Panics when the dataset's attribute count differs from the
-    /// solution's, or when `traffic` was built for a different population
-    /// size.
-    pub fn serve_rounds(
-        &self,
-        dataset: &Dataset,
-        traffic: &TrafficGenerator,
-        rounds: usize,
-        policy: BudgetPolicy,
-        retain: usize,
-    ) -> Result<LongitudinalRun, ProtocolError> {
-        self.assert_dataset(dataset);
-        assert_eq!(
-            traffic.n(),
-            dataset.n(),
-            "traffic schedule does not match the dataset population"
-        );
-        let rounds = rounds.max(1);
-        let per_round = self.round_pipeline(policy, rounds)?;
-        let report = per_round.dataset_reporter(dataset);
+        self.check_traffic(population, traffic);
         let server = LdpServer::spawn(
-            per_round.solution.clone(),
-            ServerConfig::default().shards(self.threads).retain(retain),
+            self.solution.clone(),
+            ServerConfig::default()
+                .shards(self.threads)
+                .retain(self.rounds.count),
         );
-        for round in 0..rounds as u64 {
-            per_round.serve_round_into(&server, traffic, round, policy.rng_round(round), &report);
-            server.advance_epoch();
+        for round in 0..self.rounds.count as u64 {
+            for wave in traffic.waves_for_round(round) {
+                // Parallel producers: sanitization dominates the cost, so the
+                // wave is split into contiguous chunks ingested concurrently.
+                let producers = self
+                    .threads
+                    .min(wave.len().div_ceil(MIN_USERS_PER_PRODUCER))
+                    .max(1);
+                par::par_chunks(wave.len(), producers, |range| {
+                    server.ingest_batch(wave[range].iter().map(|&uid| Envelope {
+                        uid,
+                        report: self.sanitize(population, uid, round),
+                    }));
+                    Vec::<()>::new()
+                });
+            }
+            if self.rounds.count > 1 {
+                server.advance_epoch();
+            }
         }
         let epochs = server.epochs();
-        let cumulative = CollectionRun::from_snapshot(server.drain());
-        Ok(LongitudinalRun { cumulative, epochs })
+        CollectionRun {
+            epochs,
+            ..server.drain().into()
+        }
     }
 
-    /// The multi-process twin of [`CollectionPipeline::serve`]: drives one
-    /// producer session against a remote
-    /// [`WireServer`](ldp_server::WireServer) at `addr`, sanitizing every
-    /// user of the traffic schedule and streaming the reports as checksummed
-    /// BATCH frames. Returns the number of reports the server acknowledged
+    /// The multi-process pass: one `producer` of a fleet connects to a
+    /// remote [`WireServer`](ldp_server::WireServer) at `addr` (handshaking
+    /// with [`CollectionPipeline::solution`]) and streams its share of every
+    /// round's traffic as checksummed BATCH frames, handing each periodic
+    /// snapshot to `on_snapshot`. With several rounds, an `EPOCH` barrier
+    /// round trip closes each one so the whole fleet advances in lockstep
+    /// (bind the server with `WireServer::producers(parts)`); a single
+    /// round sends no `EPOCH`. Returns the reports the server acknowledged
     /// at DRAIN.
     ///
-    /// Per-user randomness derives from the same [`user_rng`]`(seed, uid)`
-    /// streams as [`CollectionPipeline::run`], so a socket-fed server drain
-    /// is **bit-identical** to the in-process run at equal seed
+    /// Reports come from the same per-user streams as
+    /// [`CollectionPipeline::run`], so the fleet's drain is
+    /// **bit-identical** to the in-process run at equal seed
     /// (`tests/net_equivalence.rs` pins this across thread and connection
     /// counts).
-    pub fn serve_remote(
-        &self,
-        dataset: &Dataset,
-        traffic: &TrafficGenerator,
-        addr: &str,
-    ) -> Result<u64, ldp_server::WireError> {
-        self.serve_remote_part(dataset, traffic, addr, 0, 1, 0, &mut |_| {})
-    }
-
-    /// [`CollectionPipeline::serve_remote`] for one producer of a fleet:
-    /// streams only the users with `uid % parts == part`, so `parts`
-    /// processes each running a distinct `part` cover the population
-    /// exactly once between them. With `snapshot_every > 0`, a
-    /// (non-quiescing) SNAPSHOT round trip is interleaved every that many
-    /// waves and handed to `on_snapshot` — the incremental
-    /// estimate-while-ingesting stream.
     ///
     /// # Panics
-    /// Panics when the dataset does not match the solution schema, the
-    /// traffic schedule does not match the population, or `part >= parts`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn serve_remote_part(
+    /// Panics when the population does not match the solution schema, the
+    /// traffic schedule does not match the population, or
+    /// `producer.part >= producer.parts`.
+    pub fn serve_remote(
         &self,
-        dataset: &Dataset,
+        population: &impl Population,
         traffic: &TrafficGenerator,
         addr: &str,
-        part: usize,
-        parts: usize,
-        snapshot_every: usize,
+        producer: Producer,
         on_snapshot: &mut dyn FnMut(&ldp_server::WireSnapshot),
     ) -> Result<u64, ldp_server::WireError> {
-        self.assert_dataset(dataset);
-        self.serve_remote_source(
-            dataset.n(),
-            traffic,
-            addr,
+        let Producer {
             part,
             parts,
             snapshot_every,
-            on_snapshot,
-            &self.dataset_reporter(dataset),
-        )
-    }
-
-    /// The longitudinal twin of [`CollectionPipeline::serve_remote_part`]:
-    /// one producer of a fleet streaming `rounds` rounds to a remote
-    /// [`WireServer`](ldp_server::WireServer), with an `EPOCH` barrier
-    /// round trip after each round so the whole fleet advances epochs in
-    /// lockstep (the server must have been bound with
-    /// `WireServer::producers(parts)`). The configured solution carries the
-    /// total budget; the session handshakes with the **per-round** solution
-    /// (ε/R under [`BudgetPolicy::SplitEps`]), so the server must build the
-    /// same one. Returns the reports acknowledged at DRAIN.
-    ///
-    /// # Panics
-    /// Panics when the dataset does not match the solution schema, the
-    /// traffic schedule does not match the population, or `part >= parts`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn serve_remote_rounds(
-        &self,
-        dataset: &Dataset,
-        traffic: &TrafficGenerator,
-        addr: &str,
-        part: usize,
-        parts: usize,
-        rounds: usize,
-        policy: BudgetPolicy,
-    ) -> Result<u64, ldp_server::WireError> {
-        self.assert_dataset(dataset);
-        assert_eq!(
-            traffic.n(),
-            dataset.n(),
-            "traffic schedule does not match the dataset population"
-        );
+        } = producer;
+        self.check_traffic(population, traffic);
         assert!(
             part < parts,
             "producer part {part} outside fleet of {parts}"
         );
-        let rounds = rounds.max(1);
-        let per_round = self.round_pipeline(policy, rounds).map_err(|e| {
-            ldp_server::WireError::Handshake(format!("cannot build the per-round solution: {e}"))
-        })?;
-        let report = per_round.dataset_reporter(dataset);
-        let mut client = crate::net_client::NetClient::connect_with(
-            addr,
-            &per_round.solution,
-            self.net.clone(),
-        )?;
-        for round in 0..rounds as u64 {
-            let rng_round = policy.rng_round(round);
-            for wave in traffic.waves_for_round(round) {
+        let mut client = NetClient::connect_with(addr, &self.solution, self.net.clone())?;
+        for round in 0..self.rounds.count as u64 {
+            for (i, wave) in traffic.waves_for_round(round).enumerate() {
                 for &uid in wave
                     .iter()
                     .filter(|&&uid| uid % parts as u64 == part as u64)
                 {
-                    let mut rng = user_rng_round(self.seed, uid, rng_round);
-                    client.push(uid, &report(uid as usize, &mut rng))?;
+                    client.push(uid, &self.sanitize(population, uid, round))?;
+                }
+                if snapshot_every > 0 && (i + 1) % snapshot_every == 0 {
+                    on_snapshot(&client.snapshot(false)?);
                 }
             }
-            client.advance_epoch(round)?;
-        }
-        client.finish()
-    }
-
-    /// [`CollectionPipeline::serve_remote`] over a mixed dataset: streams
-    /// mixed reports to a remote [`WireServer`](ldp_server::WireServer)
-    /// through the same checksummed BATCH frames (the compact wire encoding
-    /// carries numeric entries unchanged). Bit-identical to
-    /// [`CollectionPipeline::run_mixed`] at equal seed.
-    ///
-    /// # Panics
-    /// Panics when the dataset's heterogeneous `ks` differ from the
-    /// solution's, or when `traffic` was built for a different population
-    /// size.
-    pub fn serve_remote_mixed(
-        &self,
-        mixed: &MixedDataset,
-        traffic: &TrafficGenerator,
-        addr: &str,
-    ) -> Result<u64, ldp_server::WireError> {
-        self.assert_mixed(mixed);
-        self.serve_remote_source(
-            mixed.n(),
-            traffic,
-            addr,
-            0,
-            1,
-            0,
-            &mut |_| {},
-            &self.mixed_reporter(mixed),
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn serve_remote_source(
-        &self,
-        n: usize,
-        traffic: &TrafficGenerator,
-        addr: &str,
-        part: usize,
-        parts: usize,
-        snapshot_every: usize,
-        on_snapshot: &mut dyn FnMut(&ldp_server::WireSnapshot),
-        report: &dyn Fn(usize, &mut SmallRng) -> SolutionReport,
-    ) -> Result<u64, ldp_server::WireError> {
-        assert_eq!(
-            traffic.n(),
-            n,
-            "traffic schedule does not match the dataset population"
-        );
-        assert!(
-            part < parts,
-            "producer part {part} outside fleet of {parts}"
-        );
-        let mut client =
-            crate::net_client::NetClient::connect_with(addr, &self.solution, self.net.clone())?;
-        for (i, wave) in traffic.waves().enumerate() {
-            for &uid in wave
-                .iter()
-                .filter(|&&uid| uid % parts as u64 == part as u64)
-            {
-                let mut rng = user_rng(self.seed, uid);
-                client.push(uid, &report(uid as usize, &mut rng))?;
-            }
-            if snapshot_every > 0 && (i + 1) % snapshot_every == 0 {
-                on_snapshot(&client.snapshot(false)?);
+            if self.rounds.count > 1 {
+                client.advance_epoch(round)?;
             }
         }
         client.finish()
     }
 
-    /// The single seeded per-user sanitize loop behind `run`, `observe` and
-    /// `run_with_observation` (and their `_mixed` twins): each worker chunk
-    /// folds its users' reports into one `A` via `absorb`, with user `uid`'s
-    /// randomness drawn from [`user_rng`]`(seed, uid)` and the report itself
-    /// produced by the source-specific `report` closure. Chunk outputs come
-    /// back in user order. Keeping every caller on this loop is what
-    /// guarantees the adversary's observed wire is bit-identical to what the
-    /// server aggregated.
-    fn sanitize_shards<A: Send>(
+    /// The one seeded per-user sanitize call behind every verb: user
+    /// `uid`'s report in round `round`, drawn from
+    /// [`user_rng_round`]`(seed, uid, rng_round)`. Keeping every verb on
+    /// this call is what makes the batch, streamed, wire and observed
+    /// reports bit-identical.
+    fn sanitize<P: Population>(&self, population: &P, uid: u64, round: u64) -> SolutionReport {
+        let mut rng = user_rng_round(self.seed, uid, self.rounds.rng_round(round));
+        population.report(&self.solution, uid as usize, &mut rng)
+    }
+
+    /// The per-round sanitize loop behind `run` and
+    /// `run_with_observation`: each worker chunk folds its users' reports
+    /// into one `A` via `absorb`; `shard` then turns every chunk (in user
+    /// order) into its aggregator shard, and each round's shards merge into
+    /// that round's window.
+    fn collect<P: Population, A: Send>(
         &self,
-        n: usize,
-        report: impl Fn(usize, &mut SmallRng) -> SolutionReport + Sync,
+        population: &P,
         init: impl Fn() -> A + Sync,
         absorb: impl Fn(&mut A, SolutionReport) + Sync,
-    ) -> Vec<A> {
-        self.sanitize_shards_round(n, report, init, absorb, 0)
-    }
-
-    /// [`CollectionPipeline::sanitize_shards`] for one round of a
-    /// longitudinal campaign: identical loop, but user `uid` draws from
-    /// [`user_rng_round`]`(seed, uid, rng_round)`. Round 0 is the
-    /// single-round loop bit for bit.
-    fn sanitize_shards_round<A: Send>(
-        &self,
-        n: usize,
-        report: impl Fn(usize, &mut SmallRng) -> SolutionReport + Sync,
-        init: impl Fn() -> A + Sync,
-        absorb: impl Fn(&mut A, SolutionReport) + Sync,
-        rng_round: u64,
-    ) -> Vec<A> {
-        par::par_chunks(n, self.threads, |range| {
-            let mut acc = init();
-            for uid in range {
-                let mut rng = user_rng_round(self.seed, uid as u64, rng_round);
-                absorb(&mut acc, report(uid, &mut rng));
-            }
-            vec![acc]
-        })
-    }
-
-    /// Per-user reporter over a categorical dataset.
-    fn dataset_reporter<'a>(
-        &'a self,
-        dataset: &'a Dataset,
-    ) -> impl Fn(usize, &mut SmallRng) -> SolutionReport + Sync + 'a {
-        move |uid, rng| self.solution.report(dataset.row(uid), rng)
-    }
-
-    /// Per-user reporter over a mixed dataset: categorical row + normalized
-    /// numeric row through [`DynSolution::report_mixed`]. The dataset
-    /// validated every numeric value at construction, so a reporting error
-    /// here is a bug, not bad input.
-    fn mixed_reporter<'a>(
-        &'a self,
-        mixed: &'a MixedDataset,
-    ) -> impl Fn(usize, &mut SmallRng) -> SolutionReport + Sync + 'a {
-        move |uid, rng| {
-            self.solution
-                .report_mixed(mixed.cat().row(uid), mixed.num_row(uid), rng)
-                .expect("mixed dataset values are validated at construction")
+        mut shard: impl FnMut(A) -> MultidimAggregator,
+    ) -> CollectionRun {
+        population.check(&self.solution);
+        let mut windows: Vec<ServerSnapshot> = (0..self.rounds.count as u64)
+            .map(|round| {
+                let chunks = par::par_chunks(population.n(), self.threads, |range| {
+                    let mut acc = init();
+                    for uid in range {
+                        absorb(&mut acc, self.sanitize(population, uid as u64, round));
+                    }
+                    vec![acc]
+                });
+                let shards: Vec<MultidimAggregator> = chunks.into_iter().map(&mut shard).collect();
+                ServerSnapshot::from_aggregator(self.merge(&shards), shards.len().max(1))
+            })
+            .collect();
+        if windows.len() == 1 {
+            return windows.swap_remove(0).into();
+        }
+        let cumulative = ServerSnapshot::from_aggregator(
+            self.merge(windows.iter().map(|w| &w.aggregator)),
+            windows[0].shards,
+        );
+        CollectionRun {
+            epochs: (0u64..)
+                .zip(windows)
+                .map(|(epoch, snapshot)| EpochSnapshot { epoch, snapshot })
+                .collect(),
+            ..cumulative.into()
         }
     }
 
-    fn assert_dataset(&self, dataset: &Dataset) {
-        assert_eq!(
-            dataset.d(),
-            self.solution.d(),
-            "dataset does not match the solution schema"
-        );
-    }
-
-    fn assert_mixed(&self, mixed: &MixedDataset) {
-        assert_eq!(
-            mixed.ks(),
-            self.solution.ks().to_vec(),
-            "mixed dataset does not match the solution's heterogeneous ks"
-        );
-    }
-
-    /// Merges per-thread shards into the final [`CollectionRun`].
-    fn merge_shards(&self, shards: Vec<MultidimAggregator>) -> CollectionRun {
+    /// Merges aggregator shards exactly (integer addition).
+    fn merge<'a>(
+        &self,
+        shards: impl IntoIterator<Item = &'a MultidimAggregator>,
+    ) -> MultidimAggregator {
         let mut aggregator = self.solution.aggregator();
-        let n_shards = shards.len();
-        for shard in &shards {
+        for shard in shards {
             aggregator.merge(shard);
         }
-        CollectionRun::from_snapshot(ServerSnapshot::from_aggregator(aggregator, n_shards.max(1)))
+        aggregator
+    }
+
+    fn check_traffic(&self, population: &impl Population, traffic: &TrafficGenerator) {
+        population.check(&self.solution);
+        assert_eq!(
+            traffic.n(),
+            population.n(),
+            "traffic schedule does not match the dataset population"
+        );
     }
 }
 
-impl CollectionRun {
-    /// A run from a drained/merged server snapshot. Shared by the batch and
-    /// streamed paths, so both produce identical estimates from identical
-    /// counts — including the zero-users edge, where the estimates are
-    /// all-zero (not NaN, and not a fabricated uniform distribution).
-    pub(crate) fn from_snapshot(snapshot: ServerSnapshot) -> CollectionRun {
+/// A run from a drained or merged server snapshot, with no epoch windows.
+/// Shared by the batch and streamed paths, so both produce identical
+/// estimates from identical counts — including the zero-users edge, where
+/// the estimates are all-zero (not NaN, and not a fabricated uniform
+/// distribution).
+impl From<ServerSnapshot> for CollectionRun {
+    fn from(snapshot: ServerSnapshot) -> CollectionRun {
         CollectionRun {
             estimates: snapshot.estimates,
             normalized: snapshot.normalized,
             n: snapshot.n,
             shards: snapshot.shards,
             aggregator: snapshot.aggregator,
+            epochs: Vec::new(),
         }
     }
 }
@@ -894,6 +669,18 @@ mod tests {
             SolutionKind::RsFd(RsFdProtocol::Grr),
             SolutionKind::RsRfd(RsRfdProtocol::Grr),
         ]
+    }
+
+    /// `pipeline` collecting `count` rounds under `policy`.
+    fn over(
+        pipeline: &CollectionPipeline,
+        count: usize,
+        policy: BudgetPolicy,
+    ) -> CollectionPipeline {
+        pipeline
+            .clone()
+            .rounds(Rounds::new(count, policy).unwrap())
+            .unwrap()
     }
 
     #[test]
@@ -954,7 +741,7 @@ mod tests {
                 .seed(9)
                 .threads(3);
         let run = pipeline.run(&ds);
-        let observed = pipeline.observe(&ds);
+        let (_, observed) = pipeline.run_with_observation(&ds);
         assert_eq!(observed.len(), 300);
         // Absorbing the observed wire messages reproduces the server state
         // bit for bit: the adversary saw exactly what was collected.
@@ -979,7 +766,7 @@ mod tests {
             run.aggregator.counts(),
             pipeline.run(&ds).aggregator.counts()
         );
-        let replayed = pipeline.observe(&ds);
+        let (_, replayed) = pipeline.clone().threads(1).run_with_observation(&ds);
         assert_eq!(observed.len(), replayed.len());
         // Same rng streams → the single-pass wire equals the replayed wire.
         let mut a = pipeline.solution().aggregator();
@@ -1081,9 +868,9 @@ mod tests {
     #[test]
     fn mixed_run_is_thread_count_independent() {
         let (mixed, pipeline) = mixed_pipeline(17);
-        let serial = pipeline.clone().threads(1).run_mixed(&mixed);
+        let serial = pipeline.clone().threads(1).run(&mixed);
         for threads in [2usize, 8] {
-            let sharded = pipeline.clone().threads(threads).run_mixed(&mixed);
+            let sharded = pipeline.clone().threads(threads).run(&mixed);
             assert_eq!(serial.n, sharded.n);
             assert_eq!(
                 serial.aggregator.counts(),
@@ -1111,11 +898,11 @@ mod tests {
         use crate::traffic::{TrafficGenerator, TrafficShape};
         let (mixed, pipeline) = mixed_pipeline(23);
         let pipeline = pipeline.threads(3);
-        let batch = pipeline.run_mixed(&mixed);
+        let batch = pipeline.run(&mixed);
         let traffic = TrafficGenerator::new(TrafficShape::Burst, mixed.n())
             .seed(23)
             .wave(101);
-        let served = pipeline.serve_mixed(&mixed, &traffic);
+        let served = pipeline.serve(&mixed, &traffic);
         assert_eq!(served.n, batch.n);
         assert_eq!(served.aggregator.counts(), batch.aggregator.counts());
         assert_eq!(served.aggregator.num_sums(), batch.aggregator.num_sums());
@@ -1133,7 +920,7 @@ mod tests {
     fn mixed_observation_replays_the_absorbed_wire() {
         let (mixed, pipeline) = mixed_pipeline(31);
         let pipeline = pipeline.threads(4);
-        let (run, observed) = pipeline.run_with_observation_mixed(&mixed);
+        let (run, observed) = pipeline.run_with_observation(&mixed);
         assert_eq!(observed.len(), mixed.n());
         let mut agg = pipeline.solution().aggregator();
         for r in &observed {
@@ -1143,7 +930,12 @@ mod tests {
         assert_eq!(agg.num_sums(), run.aggregator.num_sums());
         assert_eq!(
             observed.len(),
-            pipeline.observe_mixed(&mixed).len(),
+            pipeline
+                .clone()
+                .threads(1)
+                .run_with_observation(&mixed)
+                .1
+                .len(),
             "replayed wire must match the single-pass wire"
         );
     }
@@ -1158,6 +950,44 @@ mod tests {
     }
 
     #[test]
+    fn zero_rounds_is_a_typed_error() {
+        for policy in BudgetPolicy::ALL {
+            assert_eq!(Rounds::new(0, policy), Err(ZeroRounds));
+            assert!(Rounds::new(1, policy).is_ok());
+        }
+        assert!(ZeroRounds.to_string().contains("at least one round"));
+        assert_eq!(
+            Rounds::default(),
+            Rounds::new(1, BudgetPolicy::SplitEps).unwrap()
+        );
+    }
+
+    #[test]
+    fn setting_rounds_twice_splits_the_total_budget_once() {
+        let pipeline =
+            CollectionPipeline::from_kind(SolutionKind::Smp(ProtocolKind::Grr), &[4, 3], 4.0)
+                .unwrap();
+        let twice = over(
+            &over(&pipeline, 2, BudgetPolicy::SplitEps),
+            4,
+            BudgetPolicy::SplitEps,
+        );
+        assert_eq!(
+            twice.solution().epsilon(),
+            1.0,
+            "ε/4 of the total, not (ε/2)/4"
+        );
+        let back = over(&twice, 1, BudgetPolicy::SplitEps);
+        assert_eq!(back.solution().epsilon(), 4.0, "one round spends the total");
+        let memo = over(&twice, 4, BudgetPolicy::Memoize);
+        assert_eq!(
+            memo.solution().epsilon(),
+            4.0,
+            "memoization spends the total once"
+        );
+    }
+
+    #[test]
     fn one_round_campaigns_match_the_single_round_run_bit_for_bit() {
         let ds = adult_like(400, 4);
         let ks = ds.schema().cardinalities();
@@ -1168,10 +998,10 @@ mod tests {
                 .threads(3);
             let single = pipeline.run(&ds);
             for policy in BudgetPolicy::ALL {
-                let rounds = pipeline.run_rounds(&ds, 1, policy).unwrap();
-                assert_eq!(rounds.len(), 1, "{kind}/{policy}");
+                let round = over(&pipeline, 1, policy).run(&ds);
+                assert!(round.epochs.is_empty(), "{kind}/{policy}");
                 assert_eq!(
-                    rounds[0].aggregator.counts(),
+                    round.aggregator.counts(),
                     single.aggregator.counts(),
                     "{kind}/{policy}: R=1 must degenerate to the single-round pipeline"
                 );
@@ -1188,17 +1018,18 @@ mod tests {
                 .unwrap()
                 .seed(7)
                 .threads(2);
-        let runs = pipeline.run_rounds(&ds, 4, BudgetPolicy::Memoize).unwrap();
+        let runs = over(&pipeline, 4, BudgetPolicy::Memoize).run(&ds).epochs;
+        assert_eq!(runs.len(), 4);
         for (r, run) in runs.iter().enumerate() {
             assert_eq!(
-                run.aggregator.counts(),
-                runs[0].aggregator.counts(),
+                run.snapshot.aggregator.counts(),
+                runs[0].snapshot.aggregator.counts(),
                 "memoized round {r} must replay round 0's reports exactly"
             );
         }
         // Full-ε: round 0 equals the single-round run.
         assert_eq!(
-            runs[0].aggregator.counts(),
+            runs[0].snapshot.aggregator.counts(),
             pipeline.run(&ds).aggregator.counts()
         );
     }
@@ -1212,13 +1043,16 @@ mod tests {
                 .unwrap()
                 .seed(7)
                 .threads(2);
-        let runs = pipeline.run_rounds(&ds, 3, BudgetPolicy::SplitEps).unwrap();
+        let runs = over(&pipeline, 3, BudgetPolicy::SplitEps).run(&ds).epochs;
         assert_ne!(
-            runs[0].aggregator.counts(),
-            runs[1].aggregator.counts(),
+            runs[0].snapshot.aggregator.counts(),
+            runs[1].snapshot.aggregator.counts(),
             "ε-splitting rounds must be independently randomized"
         );
-        assert_ne!(runs[1].aggregator.counts(), runs[2].aggregator.counts());
+        assert_ne!(
+            runs[1].snapshot.aggregator.counts(),
+            runs[2].snapshot.aggregator.counts()
+        );
     }
 
     #[test]
@@ -1231,17 +1065,18 @@ mod tests {
                 .seed(19)
                 .threads(3);
         for policy in BudgetPolicy::ALL {
-            let runs = pipeline.run_rounds(&ds, 3, policy).unwrap();
-            let (round_solution, observed) = pipeline.observe_rounds(&ds, 3, policy).unwrap();
+            let pipeline = over(&pipeline, 3, policy);
+            let runs = pipeline.run(&ds).epochs;
+            let (_, observed) = pipeline.run_with_observation(&ds);
             assert_eq!(observed.len(), 3 * ds.n(), "{policy}");
             for (r, run) in runs.iter().enumerate() {
-                let mut agg = round_solution.aggregator();
+                let mut agg = pipeline.solution().aggregator();
                 for report in &observed[r * ds.n()..(r + 1) * ds.n()] {
                     agg.absorb(report);
                 }
                 assert_eq!(
                     agg.counts(),
-                    run.aggregator.counts(),
+                    run.snapshot.aggregator.counts(),
                     "{policy}: round {r}'s observed slice must replay its run"
                 );
             }
@@ -1259,54 +1094,30 @@ mod tests {
                 .seed(29)
                 .threads(3);
         for policy in BudgetPolicy::ALL {
-            let runs = pipeline.run_rounds(&ds, 3, policy).unwrap();
+            let pipeline = over(&pipeline, 3, policy);
+            let runs = pipeline.run(&ds).epochs;
             let traffic = TrafficGenerator::new(TrafficShape::Churn, ds.n())
                 .seed(29)
                 .wave(113);
-            let served = pipeline.serve_rounds(&ds, &traffic, 3, policy, 3).unwrap();
+            let served = pipeline.serve(&ds, &traffic);
             assert_eq!(served.epochs.len(), 3, "{policy}");
-            let mut merged = policy
-                .round_solution(pipeline.solution(), 3)
-                .unwrap()
-                .aggregator();
+            let mut merged = pipeline.solution().aggregator();
             for (r, (epoch, run)) in served.epochs.iter().zip(&runs).enumerate() {
                 assert_eq!(epoch.epoch, r as u64, "{policy}");
                 assert_eq!(
                     epoch.snapshot.aggregator.counts(),
-                    run.aggregator.counts(),
+                    run.snapshot.aggregator.counts(),
                     "{policy}: epoch {r}'s window must be bit-identical to its batch round"
                 );
-                merged.merge(&run.aggregator);
+                merged.merge(&run.snapshot.aggregator);
             }
             assert_eq!(
-                served.cumulative.aggregator.counts(),
+                served.aggregator.counts(),
                 merged.counts(),
                 "{policy}: cumulative drain must merge every round exactly"
             );
-            assert_eq!(served.cumulative.n, 3 * ds.n() as u64, "{policy}");
+            assert_eq!(served.n, 3 * ds.n() as u64, "{policy}");
         }
-    }
-
-    #[test]
-    fn serve_rounds_retention_keeps_only_the_last_windows() {
-        use crate::traffic::{TrafficGenerator, TrafficShape};
-        let ds = adult_like(200, 2);
-        let ks = ds.schema().cardinalities();
-        let pipeline =
-            CollectionPipeline::from_kind(SolutionKind::Spl(ProtocolKind::Grr), &ks, 2.0)
-                .unwrap()
-                .seed(3)
-                .threads(2);
-        let traffic = TrafficGenerator::new(TrafficShape::Steady, ds.n()).seed(3);
-        let served = pipeline
-            .serve_rounds(&ds, &traffic, 4, BudgetPolicy::SplitEps, 2)
-            .unwrap();
-        assert_eq!(
-            served.epochs.iter().map(|e| e.epoch).collect::<Vec<_>>(),
-            vec![2, 3],
-            "retention must keep the newest windows"
-        );
-        assert_eq!(served.cumulative.n, 4 * ds.n() as u64);
     }
 
     #[test]
@@ -1323,6 +1134,6 @@ mod tests {
             1.0,
         )
         .unwrap();
-        wrong.run_mixed(&mixed);
+        wrong.run(&mixed);
     }
 }

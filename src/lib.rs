@@ -19,7 +19,7 @@
 //! * [`server`] — the traffic-shaped streaming ingestion service: bounded
 //!   channels, sharded aggregators, estimate-while-ingesting snapshots and
 //!   graceful drain ([`server::LdpServer`]).
-//! * [`sim`] — the multi-survey campaign engine, the streaming
+//! * [`sim`] — the multi-survey campaign engine, the collection driver
 //!   [`CollectionPipeline`](sim::CollectionPipeline), the sharded
 //!   [`AttackPipeline`](sim::AttackPipeline), the seeded
 //!   [`TrafficGenerator`](sim::TrafficGenerator) and parallel helpers.
@@ -30,7 +30,13 @@
 //! [`core::solutions::SolutionKind`], sanitize through the object-safe
 //! [`core::solutions::DynSolution`], and aggregate incrementally through
 //! [`core::solutions::MultidimAggregator`] — `O(Σ_j k_j)` state, mergeable
-//! across shards, bit-identical to batch estimation:
+//! across shards, bit-identical to batch estimation. One
+//! [`CollectionPipeline`](sim::CollectionPipeline) drives every collection
+//! through four verbs — `run`, `run_with_observation`, `serve` and
+//! `serve_remote` — each generic over a [`Population`](sim::Population)
+//! (a categorical [`Dataset`](datasets::Dataset) or a
+//! [`MixedDataset`](datasets::MixedDataset)) and repeated over the
+//! configured [`Rounds`](sim::Rounds):
 //!
 //! ```
 //! use risks_ldp::core::solutions::{RsFdProtocol, SolutionKind};
@@ -49,6 +55,31 @@
 //! .run(&dataset);
 //! assert_eq!(run.n, 2_000);
 //! assert_eq!(run.estimates.len(), dataset.d());
+//! ```
+//!
+//! Longitudinal collection is the same verb with a
+//! [`Rounds`](sim::Rounds) value — each round's window lands in
+//! [`CollectionRun::epochs`](sim::CollectionRun::epochs):
+//!
+//! ```
+//! use risks_ldp::core::solutions::{RsFdProtocol, SolutionKind};
+//! use risks_ldp::datasets::corpora::adult_like;
+//! use risks_ldp::sim::{BudgetPolicy, CollectionPipeline, Rounds};
+//!
+//! let dataset = adult_like(1_000, 7);
+//! let run = CollectionPipeline::from_kind(
+//!     SolutionKind::RsFd(RsFdProtocol::Grr),
+//!     &dataset.schema().cardinalities(),
+//!     2.0,
+//! )
+//! .unwrap()
+//! .rounds(Rounds::new(2, BudgetPolicy::Memoize).unwrap())
+//! .unwrap()
+//! .seed(42)
+//! .run(&dataset);
+//! assert_eq!(run.n, 2_000);
+//! let (r0, r1) = (&run.epochs[0].snapshot, &run.epochs[1].snapshot);
+//! assert_eq!(r0.aggregator.counts(), r1.aggregator.counts()); // memoized replay
 //! ```
 //!
 //! ## The adversary API

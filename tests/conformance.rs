@@ -24,7 +24,7 @@ use ldp_datasets::generator::{GeneratorConfig, LatentClassGenerator};
 use ldp_datasets::mixed::mixed_survey_like;
 use ldp_datasets::{Dataset, Schema};
 use ldp_protocols::{FrequencyOracle, ProtocolKind};
-use ldp_sim::{AttackPipeline, BudgetPolicy, CollectionPipeline};
+use ldp_sim::{AttackPipeline, BudgetPolicy, CollectionPipeline, Rounds};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -304,7 +304,7 @@ fn mixed_numeric_mean_estimates_conform_end_to_end() {
         let run = CollectionPipeline::new(solution)
             .seed(0x3153D + kind.tag())
             .threads(4)
-            .run_mixed(&mixed);
+            .run(&mixed);
         assert_eq!(run.n, N as u64);
         let oracle = kind.build(eps / sample_k as f64).unwrap();
         for j in 0..mixed.d_num() {
@@ -364,6 +364,8 @@ fn averaging_attack_power_rises_with_rounds_only_without_memoization() {
         let collection =
             CollectionPipeline::from_kind(SolutionKind::Smp(ProtocolKind::Grr), &ks, EPS)
                 .unwrap()
+                .rounds(Rounds::new(rounds, policy).unwrap())
+                .unwrap()
                 .seed(seed)
                 .threads(2);
         let attack = AttackPipeline::from_kind(AttackKind::Averaging(AveragingConfig {
@@ -373,7 +375,7 @@ fn averaging_attack_power_rises_with_rounds_only_without_memoization() {
         .unwrap()
         .seed(seed)
         .threads(2);
-        let run = attack.run_rounds(&collection, &ds, rounds, policy).unwrap();
+        let run = attack.run(&collection, &ds);
         run.outcome.reident().unwrap().rid_acc[0]
     };
     for seed in [51u64, 52] {

@@ -23,9 +23,18 @@ use ldp_protocols::ProtocolKind;
 use ldp_server::wire::WireSnapshot;
 use ldp_server::{ServerConfig, ServerSnapshot, WireServer};
 use ldp_sim::traffic::{TrafficGenerator, TrafficShape};
-use ldp_sim::{user_rng, CollectionPipeline, CollectionRun, NetClient};
+use ldp_sim::{user_rng, CollectionPipeline, CollectionRun, NetClient, Producer};
 
 const SEED: u64 = 17;
+
+/// Producer `part` of a `parts`-producer fleet, without snapshots.
+fn producer(part: usize, parts: usize) -> Producer {
+    Producer {
+        part,
+        parts,
+        snapshot_every: 0,
+    }
+}
 
 fn assert_drain_matches_run(snapshot: &ServerSnapshot, reference: &CollectionRun, label: &str) {
     assert_eq!(snapshot.n, reference.n, "{label}: n");
@@ -77,7 +86,7 @@ fn assert_wire_snapshot_matches_run(
 }
 
 /// Runs a `connections`-producer fleet against `server`'s address using
-/// [`CollectionPipeline::serve_remote_part`] and returns the summed
+/// [`CollectionPipeline::serve_remote`] and returns the summed
 /// DRAIN-acked report counts.
 fn run_fleet(
     kind: SolutionKind,
@@ -96,7 +105,7 @@ fn run_fleet(
                     CollectionPipeline::from_kind(kind, &ks, epsilon)
                         .unwrap()
                         .seed(SEED)
-                        .serve_remote_part(ds, traffic, addr, part, connections, 0, &mut |_| {})
+                        .serve_remote(ds, traffic, addr, producer(part, connections), &mut |_| {})
                         .unwrap()
                 })
             })
@@ -156,7 +165,7 @@ fn mixed_socket_drain_is_bit_identical_to_the_batch_pipeline() {
     // The heterogeneous solution family over real sockets: categorical
     // support counts and numeric fixed-point sums drained from a WireServer
     // must match the in-process batch pass bit for bit, for every numeric
-    // mechanism and server shard count.
+    // mechanism, server shard count and producer fleet size.
     let mixed = mixed_survey_like(700, 11);
     let ks = mixed.ks();
     for numeric in [
@@ -173,35 +182,51 @@ fn mixed_socket_drain_is_bit_identical_to_the_batch_pipeline() {
         let reference = CollectionPipeline::new(solution.clone())
             .seed(SEED)
             .threads(1)
-            .run_mixed(&mixed);
+            .run(&mixed);
         let traffic = TrafficGenerator::new(TrafficShape::Burst, mixed.n())
             .seed(SEED)
             .wave(53);
         for shards in [1usize, 2, 8] {
-            let server = WireServer::bind(
-                "127.0.0.1:0",
-                solution.clone(),
-                ServerConfig::default().shards(shards),
-            )
-            .unwrap();
-            let addr = server.local_addr().to_string();
-            let acked = CollectionPipeline::new(solution.clone())
-                .seed(SEED)
-                .serve_remote_mixed(&mixed, &traffic, &addr)
+            for parts in [1usize, 2] {
+                let server = WireServer::bind(
+                    "127.0.0.1:0",
+                    solution.clone(),
+                    ServerConfig::default().shards(shards),
+                )
                 .unwrap();
-            assert_eq!(acked, mixed.n() as u64, "{numeric:?} shards={shards}");
-            server.wait_for_producers(1);
-            let snapshot = server.finish();
-            assert_eq!(
-                snapshot.aggregator.num_sums(),
-                reference.aggregator.num_sums(),
-                "{numeric:?} shards={shards}: numeric fixed-point sums"
-            );
-            assert_drain_matches_run(
-                &snapshot,
-                &reference,
-                &format!("MIXED[{numeric:?}] shards={shards}"),
-            );
+                let addr = server.local_addr().to_string();
+                let acked: u64 = thread::scope(|s| {
+                    let handles: Vec<_> = (0..parts)
+                        .map(|part| {
+                            let (solution, addr) = (solution.clone(), addr.as_str());
+                            let (mixed, traffic) = (&mixed, &traffic);
+                            s.spawn(move || {
+                                CollectionPipeline::new(solution)
+                                    .seed(SEED)
+                                    .serve_remote(
+                                        mixed,
+                                        traffic,
+                                        addr,
+                                        producer(part, parts),
+                                        &mut |_| {},
+                                    )
+                                    .unwrap()
+                            })
+                        })
+                        .collect();
+                    handles.into_iter().map(|h| h.join().unwrap()).sum()
+                });
+                let label = format!("MIXED[{numeric:?}] shards={shards} parts={parts}");
+                assert_eq!(acked, mixed.n() as u64, "{label}");
+                server.wait_for_producers(parts);
+                let snapshot = server.finish();
+                assert_eq!(
+                    snapshot.aggregator.num_sums(),
+                    reference.aggregator.num_sums(),
+                    "{label}: numeric fixed-point sums"
+                );
+                assert_drain_matches_run(&snapshot, &reference, &label);
+            }
         }
     }
 }
@@ -224,7 +249,7 @@ fn mixed_multi_producer_fleet_drains_bit_identically() {
     let reference = CollectionPipeline::new(solution.clone())
         .seed(SEED)
         .threads(1)
-        .run_mixed(&mixed);
+        .run(&mixed);
     for connections in [1usize, 2, 4] {
         let server = WireServer::bind(
             "127.0.0.1:0",

@@ -25,9 +25,20 @@ use ldp_server::{ServerConfig, ServerSnapshot, WireServer};
 use ldp_sim::traffic::{TrafficGenerator, TrafficShape};
 use ldp_sim::{
     user_rng, BudgetPolicy, ClientConfig, CollectionPipeline, CollectionRun, FaultKind, FaultPlan,
+    Producer, Rounds,
 };
 
 const SEED: u64 = 17;
+
+/// Producer `part` of a `parts`-producer fleet, snapshotting every
+/// `snapshot_every` waves (`0`: never).
+fn producer(part: usize, parts: usize, snapshot_every: usize) -> Producer {
+    Producer {
+        part,
+        parts,
+        snapshot_every,
+    }
+}
 
 fn assert_drain_matches_run(snapshot: &ServerSnapshot, reference: &CollectionRun, label: &str) {
     assert_eq!(snapshot.n, reference.n, "{label}: n");
@@ -85,7 +96,13 @@ fn run_faulted_fleet(
                         .unwrap()
                         .seed(SEED)
                         .client(chaos_client(part, plan_for(part)))
-                        .serve_remote_part(ds, traffic, addr, part, connections, 0, &mut |_| {})
+                        .serve_remote(
+                            ds,
+                            traffic,
+                            addr,
+                            producer(part, connections, 0),
+                            &mut |_| {},
+                        )
                         .unwrap()
                 })
             })
@@ -170,7 +187,8 @@ fn faulted_longitudinal_fleet_matches_under_both_budget_policies() {
     // Three rounds over the EPOCH barrier with faults injected mid-round:
     // the resumed sessions re-announce idempotently and the cumulative
     // drained aggregate equals the clean in-process longitudinal run, for
-    // both ways of spending the budget across rounds.
+    // both ways of spending the budget across rounds — with and without
+    // incremental SNAPSHOT round trips interleaved between waves.
     const ROUNDS: usize = 3;
     let ds = adult_like(300, 7);
     let ks = ds.schema().cardinalities();
@@ -179,18 +197,20 @@ fn faulted_longitudinal_fleet_matches_under_both_budget_policies() {
         .seed(SEED)
         .wave(47);
     for policy in BudgetPolicy::ALL {
+        let rounds = Rounds::new(ROUNDS, policy).unwrap();
         let reference = CollectionPipeline::from_kind(kind, &ks, 3.0)
+            .unwrap()
+            .rounds(rounds)
             .unwrap()
             .seed(SEED)
             .threads(1)
-            .serve_rounds(&ds, &traffic, ROUNDS, policy, 2)
-            .unwrap()
-            .cumulative;
-        {
+            .serve(&ds, &traffic);
+        let mut drained = Vec::new();
+        for snapshot_every in [0usize, 2] {
             let connections = 2usize;
             let per_round = kind
                 .build(&ks, 3.0)
-                .and_then(|s| policy.round_solution(&s, ROUNDS))
+                .and_then(|s| rounds.solution(&s))
                 .unwrap();
             let server = WireServer::bind(
                 "127.0.0.1:0",
@@ -200,27 +220,31 @@ fn faulted_longitudinal_fleet_matches_under_both_budget_policies() {
             .unwrap()
             .producers(connections);
             let addr = server.local_addr().to_string();
+            let snapshots = std::sync::atomic::AtomicUsize::new(0);
             let acked: u64 = thread::scope(|s| {
                 let handles: Vec<_> = (0..connections)
                     .map(|part| {
                         let (ks, addr) = (ks.clone(), addr.as_str());
-                        let (ds, traffic) = (&ds, &traffic);
+                        let (ds, traffic, snapshots) = (&ds, &traffic, &snapshots);
                         s.spawn(move || {
                             CollectionPipeline::from_kind(kind, &ks, 3.0)
+                                .unwrap()
+                                .rounds(rounds)
                                 .unwrap()
                                 .seed(SEED)
                                 .client(chaos_client(
                                     part,
                                     FaultPlan::new(SEED ^ 0xEB0C ^ part as u64, 4),
                                 ))
-                                .serve_remote_rounds(
+                                .serve_remote(
                                     ds,
                                     traffic,
                                     addr,
-                                    part,
-                                    connections,
-                                    ROUNDS,
-                                    policy,
+                                    producer(part, connections, snapshot_every),
+                                    &mut |_| {
+                                        snapshots
+                                            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                                    },
                                 )
                                 .unwrap()
                         })
@@ -228,13 +252,34 @@ fn faulted_longitudinal_fleet_matches_under_both_budget_policies() {
                     .collect();
                 handles.into_iter().map(|h| h.join().unwrap()).sum()
             });
-            assert_eq!(acked, (ds.n() * ROUNDS) as u64, "{policy}: acked");
-            server.wait_for_producers(connections);
-            assert_drain_matches_run(
-                &server.finish(),
-                &reference,
-                &format!("faulted longitudinal, {policy}"),
+            let label = format!("faulted longitudinal, {policy}, snapshot_every={snapshot_every}");
+            assert_eq!(acked, (ds.n() * ROUNDS) as u64, "{label}: acked");
+            assert_eq!(
+                snapshots.into_inner() > 0,
+                snapshot_every > 0,
+                "{label}: snapshots taken"
             );
+            server.wait_for_producers(connections);
+            let snapshot = server.finish();
+            assert_drain_matches_run(&snapshot, &reference, &label);
+            drained.push(snapshot);
+        }
+        // Snapshot polling is read-only: the drain with it is the drain
+        // without it, byte for byte.
+        let (without, with) = (&drained[0], &drained[1]);
+        assert_eq!(with.n, without.n, "{policy}: n");
+        assert_eq!(
+            with.aggregator.counts(),
+            without.aggregator.counts(),
+            "{policy}: counts"
+        );
+        for (x, y) in with
+            .normalized
+            .iter()
+            .flatten()
+            .zip(without.normalized.iter().flatten())
+        {
+            assert_eq!(x.to_bits(), y.to_bits(), "{policy}: normalized");
         }
     }
 }
@@ -278,7 +323,7 @@ fn producer_past_its_retry_budget_degrades_the_fleet() {
                         .unwrap()
                         .seed(SEED)
                         .client(client)
-                        .serve_remote_part(ds, traffic, addr, part, 2, 0, &mut |_| {})
+                        .serve_remote(ds, traffic, addr, producer(part, 2, 0), &mut |_| {})
                 })
             })
             .collect();
@@ -310,9 +355,10 @@ fn reaped_producer_unblocks_the_epoch_barrier() {
     let ds = adult_like(200, 13);
     let ks = ds.schema().cardinalities();
     let kind = SolutionKind::RsFd(RsFdProtocol::Grr);
+    let split = Rounds::new(ROUNDS, BudgetPolicy::SplitEps).unwrap();
     let per_round = kind
         .build(&ks, 2.0)
-        .and_then(|s| BudgetPolicy::SplitEps.round_solution(&s, ROUNDS))
+        .and_then(|s| split.solution(&s))
         .unwrap();
     let fingerprint = solution_fingerprint(&per_round);
     let server = WireServer::bind(
@@ -344,7 +390,7 @@ fn reaped_producer_unblocks_the_epoch_barrier() {
         ));
         let solution = kind
             .build(&ks, 2.0)
-            .and_then(|s| BudgetPolicy::SplitEps.round_solution(&s, ROUNDS))
+            .and_then(|s| split.solution(&s))
             .unwrap();
         let mut batch = ldp_core::solutions::CompactBatch::new();
         for uid in (0..20u64).filter(|u| u % 2 == 1) {
@@ -367,9 +413,11 @@ fn reaped_producer_unblocks_the_epoch_barrier() {
         .wave(31);
     let survivor = CollectionPipeline::from_kind(kind, &ks, 2.0)
         .unwrap()
+        .rounds(split)
+        .unwrap()
         .seed(SEED)
         .client(ClientConfig::resilient().batch(16))
-        .serve_remote_rounds(&ds, &traffic, &addr, 0, 2, ROUNDS, BudgetPolicy::SplitEps)
+        .serve_remote(&ds, &traffic, &addr, producer(0, 2, 0), &mut |_| {})
         .unwrap();
     // 100 even-uid users × 2 rounds.
     assert_eq!(survivor, (ds.n() / 2 * ROUNDS) as u64);

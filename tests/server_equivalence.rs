@@ -5,14 +5,16 @@
 //! mid-stream snapshot equals a batch run over exactly the prefix of users
 //! absorbed so far.
 
-use ldp_core::solutions::{RsFdProtocol, RsRfdProtocol, SolutionKind};
+use ldp_core::solutions::{MixedKind, RsFdProtocol, RsRfdProtocol, SolutionKind};
+use ldp_core::NumericKind;
 use ldp_datasets::corpora::adult_like;
+use ldp_datasets::mixed::mixed_survey_like;
 use ldp_datasets::Dataset;
 use ldp_protocols::hash::mix3;
 use ldp_protocols::ProtocolKind;
-use ldp_server::{Envelope, LdpServer, ServerConfig};
+use ldp_server::{Envelope, LdpServer, ServerConfig, ServerSnapshot};
 use ldp_sim::traffic::{TrafficGenerator, TrafficShape};
-use ldp_sim::{user_rng, BudgetPolicy, CollectionPipeline, CollectionRun};
+use ldp_sim::{user_rng, BudgetPolicy, CollectionPipeline, CollectionRun, Rounds};
 
 fn all_kinds() -> Vec<SolutionKind> {
     vec![
@@ -155,18 +157,19 @@ fn per_epoch_windowed_drains_match_batch_runs_over_each_window() {
         for policy in BudgetPolicy::ALL {
             let pipeline = CollectionPipeline::from_kind(kind, &ks, 2.0)
                 .unwrap()
+                .rounds(Rounds::new(rounds, policy).unwrap())
+                .unwrap()
                 .seed(31)
                 .threads(2);
             let traffic = TrafficGenerator::new(TrafficShape::Churn, ds.n())
                 .seed(31)
                 .wave(53);
-            let longitudinal = pipeline
-                .serve_rounds(&ds, &traffic, rounds, policy, rounds)
-                .unwrap();
-            let batch_rounds = pipeline.run_rounds(&ds, rounds, policy).unwrap();
+            let longitudinal = pipeline.serve(&ds, &traffic);
+            let batch_rounds = pipeline.run(&ds).epochs;
             assert_eq!(longitudinal.epochs.len(), rounds, "{kind} {policy}");
             for (epoch, batch) in longitudinal.epochs.iter().zip(&batch_rounds) {
                 let label = format!("{kind} {policy} epoch {}", epoch.epoch);
+                let batch = &batch.snapshot;
                 assert_eq!(epoch.snapshot.n, batch.n, "{label}: n");
                 assert_eq!(
                     epoch.snapshot.aggregator.counts(),
@@ -184,11 +187,100 @@ fn per_epoch_windowed_drains_match_batch_runs_over_each_window() {
                 }
             }
             assert_eq!(
-                longitudinal.cumulative.n,
+                longitudinal.n,
                 (rounds * ds.n()) as u64,
                 "{kind} {policy}: cumulative n"
             );
         }
+    }
+
+    // The same contract over a mixed categorical + numeric population:
+    // serial == sharded, streamed windows == batch windows, memoized rounds
+    // replay round 0 bit for bit (numeric fixed-point sums included), and
+    // ε-split rounds draw fresh reports.
+    let mixed = mixed_survey_like(400, 21);
+    let kind = SolutionKind::Mixed(MixedKind {
+        protocol: ProtocolKind::Grr,
+        numeric: NumericKind::Piecewise,
+        sample_k: 2,
+    });
+    for policy in BudgetPolicy::ALL {
+        let pipeline = CollectionPipeline::from_kind(kind, &mixed.ks(), 2.0)
+            .unwrap()
+            .rounds(Rounds::new(rounds, policy).unwrap())
+            .unwrap()
+            .seed(31);
+        let serial = pipeline.clone().threads(1).run(&mixed);
+        let sharded = pipeline.clone().threads(4).run(&mixed);
+        let traffic = TrafficGenerator::new(TrafficShape::Churn, mixed.n())
+            .seed(31)
+            .wave(53);
+        let served = pipeline.clone().threads(2).serve(&mixed, &traffic);
+        assert_eq!(serial.epochs.len(), rounds, "MIXED {policy}");
+        assert_eq!(serial.n, (rounds * mixed.n()) as u64, "MIXED {policy}");
+        for (other, path) in [(&sharded, "sharded"), (&served, "served")] {
+            let label = format!("MIXED {policy} {path}");
+            assert_runs_bit_identical(other, &serial, &label);
+            assert_eq!(
+                other.aggregator.num_sums(),
+                serial.aggregator.num_sums(),
+                "{label}: cumulative numeric sums"
+            );
+            assert_eq!(other.epochs.len(), rounds, "{label}");
+            for (a, b) in other.epochs.iter().zip(&serial.epochs) {
+                assert_eq!(a.epoch, b.epoch, "{label}");
+                assert_windows_bit_identical(
+                    &a.snapshot,
+                    &b.snapshot,
+                    &format!("{label} epoch {}", a.epoch),
+                );
+            }
+        }
+        let windows: Vec<&ServerSnapshot> = serial.epochs.iter().map(|e| &e.snapshot).collect();
+        match policy {
+            BudgetPolicy::Memoize => {
+                for (r, window) in windows.iter().enumerate() {
+                    assert_windows_bit_identical(
+                        window,
+                        windows[0],
+                        &format!("MIXED memoized round {r} vs round 0"),
+                    );
+                }
+            }
+            BudgetPolicy::SplitEps => {
+                for pair in windows.windows(2) {
+                    assert_ne!(
+                        (pair[0].aggregator.counts(), pair[0].aggregator.num_sums()),
+                        (pair[1].aggregator.counts(), pair[1].aggregator.num_sums()),
+                        "MIXED ε-split rounds must be independently randomized"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Bit-identity of two windowed snapshots, numeric fixed-point sums
+/// included.
+fn assert_windows_bit_identical(a: &ServerSnapshot, b: &ServerSnapshot, label: &str) {
+    assert_eq!(a.n, b.n, "{label}: n");
+    assert_eq!(
+        a.aggregator.counts(),
+        b.aggregator.counts(),
+        "{label}: counts"
+    );
+    assert_eq!(
+        a.aggregator.num_sums(),
+        b.aggregator.num_sums(),
+        "{label}: numeric sums"
+    );
+    for (x, y) in a
+        .estimates
+        .iter()
+        .flatten()
+        .zip(b.estimates.iter().flatten())
+    {
+        assert_eq!(x.to_bits(), y.to_bits(), "{label}: estimates");
     }
 }
 
