@@ -14,7 +14,9 @@
 //! The aggregation side never rematerializes reports: the cursor-based
 //! [`count_entry`] counts support directly from the encoded words (see
 //! [`MultidimAggregator::absorb_compact`]), dispatching on the oracle once
-//! per report. Decoding ([`CompactBatch::iter`]) exists for round-trip tests
+//! per report. Routing a batch to shards copies each report's encoded words
+//! ([`CompactBatch::spans`] / [`CompactBatch::push_span`]) without decoding
+//! it either. Decoding ([`CompactBatch::iter`]) exists for round-trip tests
 //! and diagnostics.
 //!
 //! ## Wire format (per report, in 64-bit words)
@@ -70,6 +72,13 @@ pub struct CompactBatch {
     uids: Vec<u64>,
     words: Vec<u64>,
 }
+
+/// One report's encoded words inside a [`CompactBatch`], yielded by
+/// [`CompactBatch::spans`] and accepted by [`CompactBatch::push_span`].
+/// Opaque: a span can only come out of a batch, so the words pushed into
+/// another batch are always exactly one well-formed report.
+#[derive(Debug, Clone, Copy)]
+pub struct ReportSpan<'a>(&'a [u64]);
 
 /// Why a byte buffer failed to decode as a [`CompactBatch`] — the typed
 /// rejection surface of [`CompactBatch::decode_from`] and
@@ -214,15 +223,9 @@ impl CompactBatch {
     /// diagnostics (the aggregation path counts from the encoded words
     /// directly and never calls this).
     pub fn iter(&self) -> impl Iterator<Item = (u64, SolutionReport)> + '_ {
-        let mut cursor = Cursor {
-            words: &self.words,
-            pos: 0,
-        };
+        let mut cursor = self.cursor();
         self.uids.iter().map(move |&uid| {
-            let header = cursor.next();
-            let kind = header & 0b11;
-            let a = ((header >> 2) & 0x7FFF_FFFF) as usize;
-            let b = (header >> 33) as usize;
+            let (kind, a, b) = cursor.solution_header();
             let report = match kind {
                 KIND_FULL => SolutionReport::Full((0..a).map(|_| cursor.decode_entry()).collect()),
                 KIND_SMP => SolutionReport::Smp(SmpReport {
@@ -253,6 +256,26 @@ impl CompactBatch {
             };
             (uid, report)
         })
+    }
+
+    /// Every `(uid, report span)` pair in order, without decoding a report:
+    /// each span is the report's encoded words, ready for
+    /// [`CompactBatch::push_span`] into another batch. This is how the
+    /// serving layer routes a validated network batch to its shards.
+    pub fn spans(&self) -> impl Iterator<Item = (u64, ReportSpan<'_>)> + '_ {
+        let mut cursor = self.cursor();
+        self.uids.iter().map(move |&uid| {
+            let start = cursor.pos;
+            cursor.skip_report();
+            (uid, ReportSpan(&self.words[start..cursor.pos]))
+        })
+    }
+
+    /// Appends one report's encoded words verbatim — [`CompactBatch::push`]
+    /// for a report that is already encoded.
+    pub fn push_span(&mut self, uid: u64, span: ReportSpan<'_>) {
+        self.uids.push(uid);
+        self.words.extend_from_slice(span.0);
     }
 
     /// The encoded solution headers + entries, for the crate-internal
@@ -402,9 +425,7 @@ fn walk_words(
     for _ in 0..n_reports {
         let header = *words.get(pos).ok_or(CompactDecodeError::TruncatedWords)?;
         pos += 1;
-        let kind = header & 0b11;
-        let a = ((header >> 2) & 0x7FFF_FFFF) as usize;
-        let b = (header >> 33) as usize;
+        let (kind, a, b) = split_header(header);
         let entries = match kind {
             KIND_FULL | KIND_TUPLE | KIND_MIXED => a,
             KIND_SMP => 1,
@@ -587,6 +608,12 @@ fn walk_entry(
     Ok(pos)
 }
 
+/// Splits a solution header word into `(kind, a, b)` per the wire format.
+fn split_header(header: u64) -> (u64, usize, usize) {
+    let a = ((header >> 2) & 0x7FFF_FFFF) as usize;
+    (header & 0b11, a, (header >> 33) as usize)
+}
+
 /// Sequential reader over a batch's encoded words.
 pub(crate) struct Cursor<'a> {
     words: &'a [u64],
@@ -617,14 +644,23 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    /// Advances past one whole report without materializing it.
+    fn skip_report(&mut self) {
+        let (kind, a, _) = self.solution_header();
+        for _ in 0..if kind == KIND_SMP { 1 } else { a } {
+            // A mixed entry is a dim word, then one numeric word or a
+            // standard entry.
+            if kind == KIND_MIXED && self.next() & 0b11 == SUBTAG_NUM {
+                self.pos += 1;
+            } else {
+                self.skip_entry();
+            }
+        }
+    }
+
     /// Reads a solution header, returning `(kind, a, b)` per the wire format.
     pub(crate) fn solution_header(&mut self) -> (u64, usize, usize) {
-        let header = self.next();
-        (
-            header & 0b11,
-            ((header >> 2) & 0x7FFF_FFFF) as usize,
-            (header >> 33) as usize,
-        )
+        split_header(self.next())
     }
 
     fn decode_entry(&mut self) -> Report {
@@ -797,6 +833,11 @@ mod tests {
             assert_eq!(batch.len(), reports.len());
             let decoded: Vec<_> = batch.iter().collect();
             assert_eq!(decoded, reports, "{kind}");
+            let mut rebuilt = CompactBatch::new();
+            for (uid, span) in batch.spans() {
+                rebuilt.push_span(uid, span);
+            }
+            assert_eq!(rebuilt, batch, "{kind}: spans reassemble the batch");
         }
     }
 

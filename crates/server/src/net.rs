@@ -7,14 +7,14 @@
 //! ```text
 //!  producer sockets ──► per-connection handler threads ──► LdpServer
 //!        (N)                 read_frame / validate          bounded
-//!                            ingest_batch (may block)       shard queues
+//!                            ingest_compact (may block)     shard queues
 //! ```
 //!
 //! One OS thread per connection, blocking reads — no async runtime, per the
 //! vendored-dependency constraint, and none needed: ingestion is
 //! throughput-bound, not connection-count-bound, and a blocked thread *is*
 //! the backpressure mechanism. When every shard queue is full,
-//! `ingest_batch` blocks the handler, the handler stops calling `read`, the
+//! `ingest_compact` blocks the handler, the handler stops calling `read`, the
 //! kernel receive buffer fills, the TCP window closes, and the remote
 //! producer's `write` stalls — flow control propagates from a full shard
 //! queue all the way to the producer process with no code in between.
@@ -30,12 +30,12 @@
 //!
 //! ## Determinism
 //!
-//! The socket path adds nothing to the ingest semantics: batches are
-//! decoded back to the same envelopes the producer pushed, and the shard
-//! merge is exact integer addition. A drain of a socket-fed server is
-//! therefore bit-identical to in-process ingestion of the same reports —
-//! the invariant `tests/net_equivalence.rs` pins across thread and
-//! connection counts.
+//! The socket path adds nothing to the ingest semantics: each report of a
+//! validated batch reaches its shard as the same encoded words the producer
+//! pushed, and the shard merge is exact integer addition. A drain of a
+//! socket-fed server is therefore bit-identical to in-process ingestion of
+//! the same reports — the invariant `tests/net_equivalence.rs` pins across
+//! thread and connection counts.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{BufReader, BufWriter, Write};
@@ -49,7 +49,7 @@ use ldp_core::solutions::DynSolution;
 use ldp_protocols::hash::mix2;
 
 use crate::config::ServerConfig;
-use crate::service::{Envelope, LdpServer};
+use crate::service::LdpServer;
 use crate::snapshot::{EpochSnapshot, ServerSnapshot};
 use crate::wire::{
     auth_fingerprint, read_frame, solution_fingerprint, write_frame, Frame, WireError, WireSnapshot,
@@ -70,7 +70,7 @@ pub const ABORT_AUTH: u16 = 4;
 /// A TCP ingestion frontend wrapping one [`LdpServer`].
 ///
 /// [`WireServer::bind`] starts the accept loop; producers connect, speak
-/// the [`crate::wire`] session (HELLO, BATCHes, optional SNAPSHOT
+/// the [`crate::wire`] session (HELLO, BATCH_SEQs, optional SNAPSHOT
 /// round trips, DRAIN), and [`WireServer::finish`] tears the listener down
 /// and drains the inner server into its final [`ServerSnapshot`].
 #[derive(Debug)]
@@ -309,15 +309,6 @@ impl NetStats {
         let mut tbl = self.sessions.lock().expect("session table poisoned");
         if let Some(state) = tbl.map.get_mut(&token) {
             state.acked_seq = seq;
-            state.ingested += len;
-            state.touched = true;
-        }
-    }
-
-    /// Marks unsequenced (legacy BATCH) ingest against the session.
-    fn record_legacy_batch(&self, token: u64, len: u64) {
-        let mut tbl = self.sessions.lock().expect("session table poisoned");
-        if let Some(state) = tbl.map.get_mut(&token) {
             state.ingested += len;
             state.touched = true;
         }
@@ -842,30 +833,13 @@ fn run_session(
     let solution = server.solution().clone();
     loop {
         match read_frame(reader) {
-            Ok(Frame::Batch(batch)) => {
+            Ok(Frame::BatchSeq { seq, batch }) => {
                 // Validate the *whole* frame before ingesting any of it:
                 // frames are atomic, so a malformed one is rejected without
                 // a single envelope reaching a shard. The solution-instance
                 // check additionally bounds numeric fixed-point magnitudes
                 // for mixed batches (a forged huge report would otherwise
                 // poison the exact sums).
-                if let Err(e) = batch.validate_for_solution(&solution) {
-                    let e = WireError::Batch(e);
-                    abort(writer, ABORT_PROTOCOL, &e.to_string());
-                    return Err(e);
-                }
-                sess.started = true;
-                let len = batch.len() as u64;
-                // May block on a full shard queue — that block is the
-                // backpressure path described in the module docs.
-                server.ingest_batch(batch.iter().map(|(uid, report)| Envelope { uid, report }));
-                sess.ingested += len;
-                stats.ingested.fetch_add(len, Ordering::SeqCst);
-                if sess.resumable {
-                    stats.record_legacy_batch(sess.token, len);
-                }
-            }
-            Ok(Frame::BatchSeq { seq, batch }) => {
                 if let Err(e) = batch.validate_for_solution(&solution) {
                     let e = WireError::Batch(e);
                     abort(writer, ABORT_PROTOCOL, &e.to_string());
@@ -887,7 +861,9 @@ fn run_session(
                     return Err(e);
                 }
                 let len = batch.len() as u64;
-                server.ingest_batch(batch.iter().map(|(uid, report)| Envelope { uid, report }));
+                // May block on a full shard queue — that block is the
+                // backpressure path described in the module docs.
+                server.ingest_compact(&batch);
                 sess.acked = seq;
                 sess.ingested += len;
                 stats.ingested.fetch_add(len, Ordering::SeqCst);
@@ -1023,7 +999,6 @@ fn frame_name(frame: &Frame) -> &'static str {
     match frame {
         Frame::Hello { .. } => "HELLO",
         Frame::HelloAck { .. } => "HELLO_ACK",
-        Frame::Batch(_) => "BATCH",
         Frame::SnapshotRequest { .. } => "SNAPSHOT_REQUEST",
         Frame::Snapshot(_) => "SNAPSHOT",
         Frame::Drain => "DRAIN",
@@ -1087,7 +1062,7 @@ mod tests {
         for uid in 0..200u64 {
             batch.push(uid, &solution.report(&[1, 2], &mut rng));
         }
-        write_frame(&mut writer, &Frame::Batch(batch)).unwrap();
+        write_frame(&mut writer, &Frame::BatchSeq { seq: 1, batch }).unwrap();
         write_frame(&mut writer, &Frame::SnapshotRequest { quiesce: true }).unwrap();
         writer.flush().unwrap();
         match read_frame(&mut reader).unwrap() {
@@ -1144,14 +1119,27 @@ mod tests {
         for uid in 0..100u64 {
             batch.push(uid, &solution.report(&[0, 1], &mut rng));
         }
-        write_frame(&mut good_writer, &Frame::Batch(batch.clone())).unwrap();
+        write_frame(
+            &mut good_writer,
+            &Frame::BatchSeq {
+                seq: 1,
+                batch: batch.clone(),
+            },
+        )
+        .unwrap();
         good_writer.flush().unwrap();
 
         // …and garbage on another: corrupt CRC after a valid handshake.
         let (mut bad_reader, bad_stream) = handshake(addr, &solution);
         let mut bad_writer = bad_stream.try_clone().unwrap();
         let mut buf = Vec::new();
-        crate::wire::encode_frame(&Frame::Batch(batch), &mut buf);
+        crate::wire::encode_frame(
+            &Frame::BatchSeq {
+                seq: 1,
+                batch: batch.clone(),
+            },
+            &mut buf,
+        );
         *buf.last_mut().unwrap() ^= 0xFF;
         std::io::Write::write_all(&mut bad_writer, &buf).unwrap();
         bad_writer.flush().unwrap();
@@ -1164,6 +1152,23 @@ mod tests {
             Err(WireError::Closed)
         ));
 
+        // …and the retired v1 BATCH type, correctly sealed, on a third.
+        let (mut retired_reader, retired_stream) = handshake(addr, &solution);
+        let mut retired_writer = retired_stream.try_clone().unwrap();
+        let mut buf = vec![0u8; 16];
+        batch.encode_into(&mut buf);
+        crate::wire::seal_frame(&mut buf, 2, 0);
+        std::io::Write::write_all(&mut retired_writer, &buf).unwrap();
+        retired_writer.flush().unwrap();
+        match read_frame(&mut retired_reader).unwrap() {
+            Frame::Abort { code, .. } => assert_eq!(code, ABORT_PROTOCOL),
+            other => panic!("expected ABORT, got {other:?}"),
+        }
+        assert!(matches!(
+            read_frame(&mut retired_reader),
+            Err(WireError::Closed)
+        ));
+
         // The good connection is unaffected: it can still snapshot + drain.
         write_frame(&mut good_writer, &Frame::Drain).unwrap();
         good_writer.flush().unwrap();
@@ -1172,7 +1177,7 @@ mod tests {
             Frame::DrainAck { n: 100 }
         ));
         server.wait_for_producers(1);
-        assert_eq!(server.rejected_connections(), 1);
+        assert_eq!(server.rejected_connections(), 2);
         let snapshot = server.finish();
         assert_eq!(snapshot.n, 100, "corrupt frame must not poison a shard");
     }
@@ -1199,7 +1204,7 @@ mod tests {
             for uid in 0..50u64 {
                 batch.push(uid, &solution.report(&[1, 2], &mut rng));
             }
-            write_frame(&mut writer, &Frame::Batch(batch)).unwrap();
+            write_frame(&mut writer, &Frame::BatchSeq { seq: 1, batch }).unwrap();
             write_frame(&mut writer, &Frame::Drain).unwrap();
             writer.flush().unwrap();
             assert!(matches!(
@@ -1262,7 +1267,7 @@ mod tests {
                         (reader, stream)
                     };
                     let mut writer = stream.try_clone().unwrap();
-                    write_frame(&mut writer, &Frame::Batch(batch)).unwrap();
+                    write_frame(&mut writer, &Frame::BatchSeq { seq: 1, batch }).unwrap();
                     write_frame(&mut writer, &Frame::Epoch { round: 0 }).unwrap();
                     writer.flush().unwrap();
                     match read_frame(&mut reader).unwrap() {
@@ -1319,7 +1324,7 @@ mod tests {
         for uid in 0..50u64 {
             batch.push(uid, &smp.report(&[1, 1], &mut rng));
         }
-        write_frame(&mut writer, &Frame::Batch(batch)).unwrap();
+        write_frame(&mut writer, &Frame::BatchSeq { seq: 1, batch }).unwrap();
         writer.flush().unwrap();
         match read_frame(&mut reader).unwrap() {
             Frame::Abort { code, .. } => assert_eq!(code, ABORT_PROTOCOL),
@@ -1381,7 +1386,7 @@ mod tests {
         for uid in 0..30u64 {
             batch.push(uid, &solution.report(&[1, 2], &mut rng));
         }
-        write_frame(&mut writer, &Frame::Batch(batch)).unwrap();
+        write_frame(&mut writer, &Frame::BatchSeq { seq: 1, batch }).unwrap();
         write_frame(&mut writer, &Frame::Drain).unwrap();
         writer.flush().unwrap();
         assert!(matches!(

@@ -4,10 +4,10 @@
 //! ## Channel topology
 //!
 //! ```text
-//!  producers ──ingest(uid % shards)──►  [SyncSender]───►  worker 0 (owns shard 0)
-//!        (any number of threads;        [SyncSender]───►  worker 1 (owns shard 1)
-//!         senders are Sync —                 …                …
-//!         one LdpServer is shared)      [SyncSender]───►  worker S (owns shard S)
+//!  producers ──uid % shards──►  [SyncSender]───►  worker 0 (owns shard 0)
+//!  (any number of threads;      [SyncSender]───►  worker 1 (owns shard 1)
+//!   senders are Sync —               …                …
+//!   one LdpServer is shared)    [SyncSender]───►  worker S (owns shard S)
 //! ```
 //!
 //! Every shard has its own **bounded** `sync_channel`; a full queue blocks
@@ -15,28 +15,27 @@
 //! how bursty the traffic is. Each worker **owns** its
 //! [`MultidimAggregator`] shard outright — no aggregation state is ever
 //! behind a lock — and every cross-thread interaction is a message: batches
-//! and single reports fold straight into the owned shard,
-//! [`LdpServer::snapshot`] requests a clone of each shard through a reply
-//! channel, and [`LdpServer::drain`] collects the shards as the workers'
-//! join values. The shards merge exactly (integer counts), which is what
-//! makes the drained snapshot bit-identical to a batch pass regardless of
-//! shard count and arrival order.
+//! fold straight into the owned shard, [`LdpServer::snapshot`] requests a
+//! clone of each shard through a reply channel, and [`LdpServer::drain`]
+//! collects the shards as the workers' join values. The shards merge
+//! exactly (integer counts), which is what makes the drained snapshot
+//! bit-identical to a batch pass regardless of shard count and arrival
+//! order.
 //!
 //! ## Allocation budget
 //!
-//! Batched reports cross the channel as
-//! [`CompactBatch`]es — flat `u64` buffers
-//! that the workers recycle back to the producers through bounded
+//! Reports cross the channel only as [`CompactBatch`]es — flat `u64`
+//! buffers that the workers recycle back to the producers through bounded
 //! **per-shard** buffer pools after absorbing them (support is counted
 //! directly from the encoded words, never by rematerializing reports).
-//! Steady-state batched ingestion therefore allocates nothing on either
-//! side of the channel (with more than `POOL_SLACK_PER_SHARD` concurrent
+//! Steady-state ingestion therefore allocates nothing on either side of
+//! the channel (with more than `POOL_SLACK_PER_SHARD` concurrent
 //! producers the overflow buffers are dropped and reallocated — amortized
 //! per batch, never per report). The pool mutexes are the only shared
 //! state on the ingest path, touched once per batch *message* and never
-//! shared across shards. The unbatched [`LdpServer::ingest`] sends its
-//! envelope as a dedicated single-report message rather than wrapping it in
-//! a one-element batch.
+//! shared across shards. A batch decoded off the wire is routed the same
+//! way: each report's encoded words are copied into its shard's buffer
+//! without being decoded, so a report keeps one form from socket to shard.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -70,8 +69,6 @@ pub struct Envelope {
 
 /// What flows through a shard channel.
 enum Msg {
-    /// A single envelope (the unbatched [`LdpServer::ingest`] path).
-    One(Envelope),
     /// A compact-encoded batch of envelopes, in order.
     Batch(CompactBatch),
     /// Barrier: acknowledge once every earlier message is absorbed.
@@ -94,11 +91,11 @@ enum Msg {
 /// A running ingestion service over one collection solution.
 ///
 /// Spawn it with [`LdpServer::spawn`], push sanitized reports through
-/// [`LdpServer::ingest`] / [`LdpServer::ingest_batch`] (callable from any
-/// number of producer threads — the sender side is `Sync`), observe the
-/// running state with [`LdpServer::snapshot`], and finish with
-/// [`LdpServer::drain`]. See the [module docs](crate::service) for the
-/// channel topology, the allocation budget and the determinism argument.
+/// [`LdpServer::ingest_batch`] (callable from any number of producer
+/// threads — the sender side is `Sync`), observe the running state with
+/// [`LdpServer::snapshot`], and finish with [`LdpServer::drain`]. See the
+/// [module docs](crate::service) for the channel topology, the allocation
+/// budget and the determinism argument.
 #[derive(Debug)]
 pub struct LdpServer {
     solution: DynSolution,
@@ -182,48 +179,60 @@ impl LdpServer {
         (uid % self.config.shards as u64) as usize
     }
 
-    /// Ingests one envelope as a single-report message, blocking while the
-    /// target shard's queue is full (backpressure). No batch wrapper is
-    /// allocated; prefer [`LdpServer::ingest_batch`] on hot paths anyway —
-    /// one channel message per envelope is the slow road.
-    ///
-    /// # Panics
-    /// Panics when the target worker has died (it panicked absorbing an
-    /// earlier report, e.g. one of a foreign solution's shape).
-    pub fn ingest(&self, envelope: Envelope) {
-        let shard = self.shard_of(envelope.uid);
-        self.txs[shard]
-            .send(Msg::One(envelope))
-            .expect("ingestion worker disconnected (did it panic?)");
-    }
-
     /// Ingests a batch: envelopes are compact-encoded into per-shard
     /// (pool-recycled) buffers, preserving their relative order, and sent as
     /// at most `⌈len / config.batch⌉` messages per shard. Blocks whenever a
     /// shard queue is full.
     ///
     /// # Panics
-    /// Panics when a target worker has died.
+    /// Panics when a target worker has died (it panicked absorbing an
+    /// earlier report, e.g. one of a foreign solution's shape).
     pub fn ingest_batch(&self, envelopes: impl IntoIterator<Item = Envelope>) {
+        self.route(
+            envelopes,
+            |envelope| envelope.uid,
+            |buffer, envelope| buffer.push(envelope.uid, &envelope.report),
+        );
+    }
+
+    /// [`LdpServer::ingest_batch`] for reports that are already encoded —
+    /// the wire handler's path for a validated network batch. Each report's
+    /// words are copied into its shard's buffer without being decoded.
+    ///
+    /// # Panics
+    /// Panics when a target worker has died.
+    pub(crate) fn ingest_compact(&self, batch: &CompactBatch) {
+        self.route(
+            batch.spans(),
+            |&(uid, _)| uid,
+            |buffer, &(uid, span)| buffer.push_span(uid, span),
+        );
+    }
+
+    /// The routing loop both ingest paths share: `push` appends each item to
+    /// the pooled buffer of shard `uid_of(item) % shards`, and a buffer is
+    /// sent as soon as it holds `config.batch` reports.
+    fn route<T>(
+        &self,
+        items: impl IntoIterator<Item = T>,
+        uid_of: impl Fn(&T) -> u64,
+        push: impl Fn(&mut CompactBatch, &T),
+    ) {
         let batch = self.config.batch;
         let mut buffers: Vec<CompactBatch> = (0..self.config.shards)
             .map(|shard| self.pooled_buffer(shard))
             .collect();
-        for envelope in envelopes {
-            let shard = self.shard_of(envelope.uid);
-            buffers[shard].push(envelope.uid, &envelope.report);
+        for item in items {
+            let shard = self.shard_of(uid_of(&item));
+            push(&mut buffers[shard], &item);
             if buffers[shard].len() >= batch {
                 let full = std::mem::replace(&mut buffers[shard], self.pooled_buffer(shard));
-                self.txs[shard]
-                    .send(Msg::Batch(full))
-                    .expect("ingestion worker disconnected (did it panic?)");
+                self.send(shard, Msg::Batch(full));
             }
         }
         for (shard, rest) in buffers.into_iter().enumerate() {
             if !rest.is_empty() {
-                self.txs[shard]
-                    .send(Msg::Batch(rest))
-                    .expect("ingestion worker disconnected (did it panic?)");
+                self.send(shard, Msg::Batch(rest));
             } else {
                 recycle_buffer(&self.pools[shard], rest);
             }
@@ -235,17 +244,7 @@ impl LdpServer {
     /// [`LdpServer::snapshot`] that must reflect a known prefix of the
     /// traffic; plain monitoring snapshots don't need it.
     pub fn quiesce(&self) {
-        let (ack_tx, ack_rx) = std::sync::mpsc::channel();
-        for tx in &self.txs {
-            tx.send(Msg::Sync(ack_tx.clone()))
-                .expect("ingestion worker disconnected (did it panic?)");
-        }
-        drop(ack_tx);
-        for _ in 0..self.txs.len() {
-            ack_rx
-                .recv()
-                .expect("ingestion worker dropped the sync barrier");
-        }
+        self.broadcast(Msg::Sync);
     }
 
     /// Merged view of everything absorbed so far, while ingestion keeps
@@ -257,19 +256,7 @@ impl LdpServer {
     /// # Panics
     /// Panics when a worker has died.
     pub fn snapshot(&self) -> ServerSnapshot {
-        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-        for tx in &self.txs {
-            tx.send(Msg::Snapshot(reply_tx.clone()))
-                .expect("ingestion worker disconnected (did it panic?)");
-        }
-        drop(reply_tx);
-        let shards: Vec<MultidimAggregator> = (0..self.txs.len())
-            .map(|_| {
-                reply_rx
-                    .recv()
-                    .expect("ingestion worker dropped the snapshot reply")
-            })
-            .collect();
+        let shards = self.broadcast(Msg::Snapshot);
         // Reply order is arbitrary; the merge is exact integer addition, so
         // the snapshot is independent of it. Closed epochs re-enter through
         // the cumulative base (empty until the first rotation).
@@ -293,22 +280,10 @@ impl LdpServer {
     /// # Panics
     /// Panics when a worker has died.
     pub fn advance_epoch(&self) -> EpochSnapshot {
-        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-        for tx in &self.txs {
-            tx.send(Msg::Rotate {
-                fresh: self.solution.aggregator(),
-                reply: reply_tx.clone(),
-            })
-            .expect("ingestion worker disconnected (did it panic?)");
-        }
-        drop(reply_tx);
-        let shards: Vec<MultidimAggregator> = (0..self.txs.len())
-            .map(|_| {
-                reply_rx
-                    .recv()
-                    .expect("ingestion worker dropped the rotation reply")
-            })
-            .collect();
+        let shards = self.broadcast(|reply| Msg::Rotate {
+            fresh: self.solution.aggregator(),
+            reply,
+        });
         let snapshot = ServerSnapshot::merge(self.solution.aggregator(), &shards);
         {
             let mut closed = self.closed.lock().expect("epoch state poisoned");
@@ -368,6 +343,26 @@ impl LdpServer {
         ServerSnapshot::merge(base, &shards)
     }
 
+    /// Sends `msg` to `shard`'s worker, blocking while its queue is full.
+    fn send(&self, shard: usize, msg: Msg) {
+        self.txs[shard]
+            .send(msg)
+            .expect("ingestion worker disconnected (did it panic?)");
+    }
+
+    /// Sends every worker the message `make` wraps around a reply sender
+    /// and collects one reply per worker, in arbitrary order.
+    fn broadcast<R>(&self, make: impl Fn(Sender<R>) -> Msg) -> Vec<R> {
+        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
+        for shard in 0..self.txs.len() {
+            self.send(shard, make(reply_tx.clone()));
+        }
+        drop(reply_tx);
+        (0..self.txs.len())
+            .map(|_| reply_rx.recv().expect("ingestion worker dropped its reply"))
+            .collect()
+    }
+
     /// A cleared batch buffer for `shard`, recycled from its pool when one
     /// is available.
     fn pooled_buffer(&self, shard: usize) -> CompactBatch {
@@ -390,7 +385,6 @@ fn worker_loop(
 ) -> MultidimAggregator {
     while let Ok(msg) = rx.recv() {
         match msg {
-            Msg::One(envelope) => aggregator.absorb(&envelope.report),
             Msg::Batch(batch) => {
                 aggregator.absorb_compact(&batch);
                 recycle_buffer(pool, batch);
@@ -416,8 +410,10 @@ fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ldp_core::solutions::{RsFdProtocol, SolutionKind};
+    use ldp_core::solutions::{MixedKind, RsFdProtocol, SolutionKind};
+    use ldp_core::NumericKind;
     use ldp_protocols::hash::mix2;
+    use ldp_protocols::ProtocolKind;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -431,6 +427,41 @@ mod tests {
                 }
             })
             .collect()
+    }
+
+    /// A mixed solution (two categorical, two numeric dimensions), so the
+    /// routed words include numeric fixed-point entries.
+    fn mixed_solution() -> DynSolution {
+        SolutionKind::Mixed(MixedKind {
+            protocol: ProtocolKind::Grr,
+            numeric: NumericKind::Piecewise,
+            sample_k: 2,
+        })
+        .build(&[4, 3, 0, 0], 1.0)
+        .unwrap()
+    }
+
+    fn mixed_envelopes(solution: &DynSolution, n: u64, seed: u64) -> Vec<Envelope> {
+        (0..n)
+            .map(|uid| {
+                let mut rng = StdRng::seed_from_u64(mix2(seed, uid));
+                let y = (uid % 7) as f64 / 3.0 - 1.0;
+                Envelope {
+                    uid,
+                    report: solution
+                        .report_mixed(&[uid as u32 % 4, uid as u32 % 3], &[y, -y], &mut rng)
+                        .unwrap(),
+                }
+            })
+            .collect()
+    }
+
+    fn compact(envelopes: &[Envelope]) -> CompactBatch {
+        let mut batch = CompactBatch::new();
+        for e in envelopes {
+            batch.push(e.uid, &e.report);
+        }
+        batch
     }
 
     #[test]
@@ -477,44 +508,68 @@ mod tests {
 
     #[test]
     fn single_envelope_ingest_works_under_backpressure() {
-        // Tiny queue + tiny batches: every send exercises the bounded path.
-        let solution = SolutionKind::RsFd(RsFdProtocol::Grr)
+        // Tiny queue + tiny batches: every send exercises the bounded path,
+        // for one-envelope batches and for an encoded batch spanning every
+        // shard (mixed included, so numeric words are routed too).
+        let rsfd = SolutionKind::RsFd(RsFdProtocol::Grr)
             .build(&[4, 3], 1.0)
             .unwrap();
-        let server = LdpServer::spawn(
-            solution.clone(),
-            ServerConfig::default().shards(2).queue_depth(1).batch(1),
-        );
-        for e in envelopes(&solution, 200, 11) {
-            server.ingest(e);
+        let mixed = mixed_solution();
+        for (solution, envs) in [
+            (&rsfd, envelopes(&rsfd, 200, 11)),
+            (&mixed, mixed_envelopes(&mixed, 200, 11)),
+        ] {
+            let mut reference = solution.aggregator();
+            for e in &envs {
+                reference.absorb(&e.report);
+            }
+            let server = LdpServer::spawn(
+                solution.clone(),
+                ServerConfig::default().shards(2).queue_depth(1).batch(1),
+            );
+            for e in envs[..100].iter().cloned() {
+                server.ingest_batch([e]);
+            }
+            server.ingest_compact(&compact(&envs[100..]));
+            let snap = server.drain();
+            assert_eq!(snap.n, 200);
+            assert_eq!(snap.aggregator.counts(), reference.counts());
+            assert_eq!(snap.aggregator.num_sums(), reference.num_sums());
         }
-        assert_eq!(server.drain().n, 200);
     }
 
     #[test]
     fn mixed_single_and_batched_ingest_absorb_everything() {
-        // Msg::One and Msg::Batch interleave on the same shard queues.
-        let solution = SolutionKind::RsFd(RsFdProtocol::Grr)
+        // Envelope batches and encoded batches interleave on the same shard
+        // queues, for a categorical and a mixed solution.
+        let rsfd = SolutionKind::RsFd(RsFdProtocol::Grr)
             .build(&[4, 3], 1.0)
             .unwrap();
-        let envs = envelopes(&solution, 400, 13);
-        let mut reference = solution.aggregator();
-        for e in &envs {
-            reference.absorb(&e.report);
-        }
-        let server = LdpServer::spawn(solution, ServerConfig::default().shards(3).batch(32));
-        for (i, chunk) in envs.chunks(100).enumerate() {
-            if i % 2 == 0 {
-                for e in chunk {
-                    server.ingest(e.clone());
-                }
-            } else {
-                server.ingest_batch(chunk.iter().cloned());
+        let mixed = mixed_solution();
+        for (solution, envs) in [
+            (&rsfd, envelopes(&rsfd, 400, 13)),
+            (&mixed, mixed_envelopes(&mixed, 400, 13)),
+        ] {
+            let mut reference = solution.aggregator();
+            for e in &envs {
+                reference.absorb(&e.report);
             }
+            let server = LdpServer::spawn(
+                solution.clone(),
+                ServerConfig::default().shards(3).batch(32),
+            );
+            for (i, chunk) in envs.chunks(100).enumerate() {
+                if i % 2 == 0 {
+                    server.ingest_compact(&compact(chunk));
+                } else {
+                    server.ingest_batch(chunk.iter().cloned());
+                }
+            }
+            let snap = server.drain();
+            assert_eq!(snap.n, 400);
+            assert_eq!(snap.aggregator.counts(), reference.counts());
+            assert_eq!(snap.aggregator.num_sums(), reference.num_sums());
         }
-        let snap = server.drain();
-        assert_eq!(snap.n, 400);
-        assert_eq!(snap.aggregator.counts(), reference.counts());
     }
 
     #[test]

@@ -21,20 +21,19 @@
 //! |------|------------------|---------------------------------------------|
 //! | 0    | HELLO            | fingerprint (u64) + auth digest (u64)        |
 //! | 1    | HELLO_ACK        | fingerprint (u64) + shards (u32) + session token (u64) + ack interval (u32) |
-//! | 2    | BATCH            | [`CompactBatch::encode_into`] bytes          |
 //! | 3    | SNAPSHOT_REQUEST | empty (flags bit 0 requests a quiesce)       |
 //! | 4    | SNAPSHOT         | [`WireSnapshot`] (estimates + normalized)    |
 //! | 5    | DRAIN            | empty — producer is done                     |
 //! | 6    | DRAIN_ACK        | reports the server ingested for this session |
 //! | 7    | ABORT            | error code (u16) + UTF-8 message             |
 //! | 8    | EPOCH            | round index (u64) — epoch barrier / ack      |
-//! | 9    | BATCH_SEQ        | sequence number (u64) + BATCH bytes          |
+//! | 9    | BATCH_SEQ        | sequence number (u64) + [`CompactBatch::encode_into`] bytes |
 //! | 10   | BATCH_ACK        | cumulative acked seq (u64) + ingested (u64)  |
 //! | 11   | RESUME           | session token (u64) + last acked seq (u64)   |
 //! | 12   | RESUME_ACK       | server's cumulative acked seq (u64)          |
 //!
-//! A session is `HELLO → HELLO_ACK`, then any interleaving of `BATCH` /
-//! `BATCH_SEQ` and `SNAPSHOT_REQUEST → SNAPSHOT`, closed by
+//! A session is `HELLO → HELLO_ACK`, then any interleaving of `BATCH_SEQ`
+//! and `SNAPSHOT_REQUEST → SNAPSHOT`, closed by
 //! `DRAIN → DRAIN_ACK`. A longitudinal producer additionally sends
 //! `EPOCH { round }` after its last batch of round `round`; the server holds
 //! the frame at a fleet-wide barrier, rotates its epoch once every producer
@@ -57,6 +56,9 @@
 //! Because every report is a pure function of `(seed, uid)` (see
 //! `ldp_sim::user_rng`), a replayed batch is bit-identical to the lost one,
 //! and a faulted fleet drain equals the clean run bit-for-bit.
+//!
+//! Type 2 was the unsequenced BATCH frame of wire version 1. No version 2
+//! peer sends it, and it decodes as [`WireError::UnknownFrameType`].
 //!
 //! Version negotiation is deliberately blunt: the header pins version 2, and
 //! a mismatch is rejected with a typed [`WireError::VersionMismatch`] before
@@ -89,7 +91,6 @@ pub const MAX_PAYLOAD: u32 = 64 << 20;
 
 const FT_HELLO: u8 = 0;
 const FT_HELLO_ACK: u8 = 1;
-const FT_BATCH: u8 = 2;
 const FT_SNAPSHOT_REQUEST: u8 = 3;
 const FT_SNAPSHOT: u8 = 4;
 const FT_DRAIN: u8 = 5;
@@ -139,7 +140,7 @@ pub enum WireError {
     },
     /// A control frame's payload is malformed.
     Payload(String),
-    /// A BATCH payload failed [`CompactBatch::decode_from`] or
+    /// A BATCH_SEQ payload failed [`CompactBatch::decode_from`] or
     /// [`CompactBatch::validate_for`].
     Batch(CompactDecodeError),
     /// Handshake violation: missing HELLO, or a solution fingerprint that
@@ -241,8 +242,6 @@ pub enum Frame {
         /// owed before the ring fills.
         ack_every: u32,
     },
-    /// A compact-encoded batch of `(uid, report)` envelopes.
-    Batch(CompactBatch),
     /// Client → server request for the current merged estimates.
     SnapshotRequest {
         /// Barrier first, so the snapshot covers everything this producer
@@ -272,8 +271,9 @@ pub enum Frame {
         /// Collection round index (see direction above).
         round: u64,
     },
-    /// A [`Frame::Batch`] carrying its per-session sequence number, so the
-    /// server can ack cumulatively and dedup replays after a reconnect.
+    /// A compact-encoded batch of `(uid, report)` envelopes carrying its
+    /// per-session sequence number, so the server can ack cumulatively and
+    /// dedup replays after a reconnect.
     BatchSeq {
         /// 1-based, strictly monotone, gapless per-session sequence number.
         seq: u64,
@@ -430,10 +430,6 @@ pub fn encode_frame(frame: &Frame, buf: &mut Vec<u8>) -> usize {
             buf.extend_from_slice(&ack_every.to_le_bytes());
             (FT_HELLO_ACK, 0)
         }
-        Frame::Batch(batch) => {
-            batch.encode_into(buf);
-            (FT_BATCH, 0)
-        }
         Frame::SnapshotRequest { quiesce } => {
             (FT_SNAPSHOT_REQUEST, if *quiesce { FLAG_QUIESCE } else { 0 })
         }
@@ -466,11 +462,7 @@ pub fn encode_frame(frame: &Frame, buf: &mut Vec<u8>) -> usize {
             buf.extend_from_slice(&round.to_le_bytes());
             (FT_EPOCH, 0)
         }
-        Frame::BatchSeq { seq, batch } => {
-            buf.extend_from_slice(&seq.to_le_bytes());
-            batch.encode_into(buf);
-            (FT_BATCH_SEQ, 0)
-        }
+        Frame::BatchSeq { seq, batch } => return encode_batch_seq_frame(*seq, batch, buf),
         Frame::BatchAck { seq, n } => {
             buf.extend_from_slice(&seq.to_le_bytes());
             buf.extend_from_slice(&n.to_le_bytes());
@@ -492,19 +484,10 @@ pub fn encode_frame(frame: &Frame, buf: &mut Vec<u8>) -> usize {
     seal_frame(buf, ftype, flags)
 }
 
-/// [`encode_frame`] specialized to a BATCH without constructing the enum —
+/// [`encode_frame`] for a BATCH_SEQ frame without constructing the enum:
 /// the producer hot path serializes its reused [`CompactBatch`] buffer
-/// directly (no move, no clone).
-pub fn encode_batch_frame(batch: &CompactBatch, buf: &mut Vec<u8>) -> usize {
-    buf.clear();
-    buf.extend_from_slice(&[0u8; 16]);
-    batch.encode_into(buf);
-    seal_frame(buf, FT_BATCH, 0)
-}
-
-/// [`encode_batch_frame`]'s sequenced twin: a BATCH_SEQ frame serialized
-/// straight from the producer's reused buffer — the hot path of the
-/// fault-tolerant client.
+/// directly (no move, no clone). `encode_frame` delegates here, so the two
+/// always produce the same bytes.
 pub fn encode_batch_seq_frame(seq: u64, batch: &CompactBatch, buf: &mut Vec<u8>) -> usize {
     buf.clear();
     buf.extend_from_slice(&[0u8; 16]);
@@ -515,7 +498,7 @@ pub fn encode_batch_seq_frame(seq: u64, batch: &CompactBatch, buf: &mut Vec<u8>)
 
 /// Writes the 16-byte header over `buf[..16]` (magic, version, type, flags,
 /// payload length, payload CRC) once the payload sits at `buf[16..]`.
-fn seal_frame(buf: &mut [u8], ftype: u8, flags: u8) -> usize {
+pub(crate) fn seal_frame(buf: &mut [u8], ftype: u8, flags: u8) -> usize {
     let len = (buf.len() - 16) as u32;
     debug_assert!(len <= MAX_PAYLOAD, "encoder produced an oversize frame");
     let crc = crc32(&buf[16..]);
@@ -620,7 +603,6 @@ fn decode_payload(ftype: u8, flags: u8, payload: &[u8]) -> Result<Frame, WireErr
                 ack_every: u32::from_le_bytes(payload[20..24].try_into().expect("4-byte slice")),
             })
         }
-        FT_BATCH => Ok(Frame::Batch(CompactBatch::decode_from(payload)?)),
         FT_SNAPSHOT_REQUEST => {
             exact(0)?;
             Ok(Frame::SnapshotRequest {
@@ -767,7 +749,10 @@ mod tests {
                 session: 0xD00D_F00D,
                 ack_every: 32,
             },
-            Frame::Batch(batch.clone()),
+            Frame::BatchSeq {
+                seq: 1,
+                batch: batch.clone(),
+            },
             Frame::BatchSeq { seq: 7, batch },
             Frame::BatchAck { seq: 7, n: 350 },
             Frame::Resume {
@@ -850,6 +835,15 @@ mod tests {
         assert!(matches!(
             read_frame(&mut &bad[..]),
             Err(WireError::UnknownFrameType(99))
+        ));
+        // The retired v1 BATCH type, correctly sealed: still a typed
+        // rejection, never a decoded frame.
+        let mut retired = vec![0u8; 16];
+        CompactBatch::new().encode_into(&mut retired);
+        seal_frame(&mut retired, 2, 0);
+        assert!(matches!(
+            read_frame(&mut &retired[..]),
+            Err(WireError::UnknownFrameType(2))
         ));
         // Oversize length is rejected before any allocation.
         let mut bad = buf.clone();

@@ -18,8 +18,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// A representative valid session's byte stream (handshake, batches, a
-/// snapshot exchange, drain) to mutate.
+/// A representative valid session's byte stream (handshake, a sequenced
+/// batch, a snapshot exchange, drain) to mutate.
 fn session_bytes(seed: u64, reports: u64) -> Vec<u8> {
     let solution = SolutionKind::RsFd(RsFdProtocol::Grr)
         .build(&[5, 3, 4], 1.5)
@@ -35,7 +35,7 @@ fn session_bytes(seed: u64, reports: u64) -> Vec<u8> {
     for uid in 0..reports {
         batch.push(uid, &solution.report(&[1, 2, 3], &mut rng));
     }
-    frames.push(Frame::Batch(batch));
+    frames.push(Frame::BatchSeq { seq: 1, batch });
     frames.push(Frame::SnapshotRequest { quiesce: true });
     frames.push(Frame::Snapshot(WireSnapshot {
         n: reports,
@@ -75,7 +75,7 @@ fn mixed_session_bytes(seed: u64, reports: u64) -> Vec<u8> {
             .unwrap();
         batch.push(uid, &report);
     }
-    frames.push(Frame::Batch(batch));
+    frames.push(Frame::BatchSeq { seq: 1, batch });
     frames.push(Frame::Drain);
     for frame in &frames {
         encode_frame(frame, &mut buf);
@@ -543,7 +543,7 @@ proptest! {
         for uid in 0..25u64 {
             batch.push(uid, &solution.report(&[0, 1, 2], &mut rng));
         }
-        write_frame(&mut writer, &Frame::Batch(batch)).unwrap();
+        write_frame(&mut writer, &Frame::BatchSeq { seq: 1, batch }).unwrap();
         write_frame(&mut writer, &Frame::Drain).unwrap();
         writer.flush().unwrap();
         prop_assert!(matches!(read_frame(&mut reader).unwrap(), Frame::DrainAck { n: 25 }));

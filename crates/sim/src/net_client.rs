@@ -49,7 +49,7 @@ use ldp_server::wire::{
 
 use crate::fault::{splitmix64, FaultInjector, FaultKind, FaultPlan};
 
-/// Default reports per BATCH frame — matches the server's default
+/// Default reports per BATCH_SEQ frame — matches the server's default
 /// channel-message batch (`ServerConfig::batch`).
 const DEFAULT_BATCH: usize = 1024;
 
@@ -157,7 +157,6 @@ pub struct NetClient {
     fingerprint: u64,
     auth: u64,
     batch: CompactBatch,
-    batch_size: usize,
     frame_buf: Vec<u8>,
     server_shards: u32,
     /// Server-issued resume token (0: session table full, no resume).
@@ -189,8 +188,11 @@ impl NetClient {
     pub fn connect_with(
         addr: impl ToSocketAddrs,
         solution: &DynSolution,
-        cfg: ClientConfig,
+        mut cfg: ClientConfig,
     ) -> Result<Self, WireError> {
+        if cfg.batch == 0 {
+            cfg.batch = DEFAULT_BATCH;
+        }
         let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
         if addrs.is_empty() {
             return Err(WireError::Handshake(
@@ -205,10 +207,6 @@ impl NetClient {
             hello(&mut writer, &mut reader, fingerprint, auth)?;
         let injector = cfg.fault_plan.as_ref().map(|p| p.injector());
         let jitter = splitmix64(&mut (cfg.backoff_seed ^ 0x9E37_79B9));
-        let batch_size = match cfg.batch {
-            0 => DEFAULT_BATCH,
-            b => b,
-        };
         Ok(NetClient {
             reader,
             stream,
@@ -216,7 +214,6 @@ impl NetClient {
             fingerprint,
             auth,
             batch: CompactBatch::new(),
-            batch_size,
             frame_buf: Vec::new(),
             server_shards,
             session,
@@ -229,12 +226,6 @@ impl NetClient {
             jitter,
             cfg,
         })
-    }
-
-    /// Sets the reports-per-frame batch size (clamped to ≥ 1).
-    pub fn batch_size(mut self, size: usize) -> Self {
-        self.batch_size = size.max(1);
-        self
     }
 
     /// The server's shard count, as announced in HELLO_ACK.
@@ -258,7 +249,7 @@ impl NetClient {
     /// path — see the [module docs](crate::net_client).
     pub fn push(&mut self, uid: u64, report: &SolutionReport) -> Result<(), WireError> {
         self.batch.push(uid, report);
-        if self.batch.len() >= self.batch_size {
+        if self.batch.len() >= self.cfg.batch {
             self.flush_batch()?;
         }
         Ok(())

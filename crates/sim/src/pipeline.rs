@@ -507,7 +507,7 @@ impl CollectionPipeline {
     /// The multi-process pass: one `producer` of a fleet connects to a
     /// remote [`WireServer`](ldp_server::WireServer) at `addr` (handshaking
     /// with [`CollectionPipeline::solution`]) and streams its share of every
-    /// round's traffic as checksummed BATCH frames, handing each periodic
+    /// round's traffic as checksummed BATCH_SEQ frames, handing each periodic
     /// snapshot to `on_snapshot`. With several rounds, an `EPOCH` barrier
     /// round trip closes each one so the whole fleet advances in lockstep
     /// (bind the server with `WireServer::producers(parts)`); a single

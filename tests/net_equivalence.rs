@@ -23,7 +23,7 @@ use ldp_protocols::ProtocolKind;
 use ldp_server::wire::WireSnapshot;
 use ldp_server::{ServerConfig, ServerSnapshot, WireServer};
 use ldp_sim::traffic::{TrafficGenerator, TrafficShape};
-use ldp_sim::{user_rng, CollectionPipeline, CollectionRun, NetClient, Producer};
+use ldp_sim::{user_rng, ClientConfig, CollectionPipeline, CollectionRun, NetClient, Producer};
 
 const SEED: u64 = 17;
 
@@ -262,7 +262,9 @@ fn mixed_multi_producer_fleet_drains_bit_identically() {
             for part in 0..connections {
                 let (solution, addr, mixed) = (solution.clone(), addr.as_str(), &mixed);
                 s.spawn(move || {
-                    let mut client = NetClient::connect(addr, &solution).unwrap().batch_size(16);
+                    let mut client =
+                        NetClient::connect_with(addr, &solution, ClientConfig::default().batch(16))
+                            .unwrap();
                     for uid in (0..mixed.n() as u64).filter(|&u| u as usize % connections == part) {
                         let report = solution
                             .report_mixed(
@@ -357,7 +359,9 @@ fn mid_stream_quiesced_snapshot_equals_batch_over_the_prefix() {
                 let (ds, flushed, snapped) = (&ds, &flushed, &snapped);
                 let prefix_reference = &prefix_reference;
                 s.spawn(move || {
-                    let mut client = NetClient::connect(addr, &solution).unwrap().batch_size(32);
+                    let mut client =
+                        NetClient::connect_with(addr, &solution, ClientConfig::default().batch(32))
+                            .unwrap();
                     let mine = |uid: u64| uid as usize % connections == part;
                     for uid in (0..PREFIX as u64).filter(|&u| mine(u)) {
                         let report =
