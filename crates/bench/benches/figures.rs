@@ -4,6 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ldp_bench::{bench_acs, bench_adult, bench_rng};
+use ldp_core::attacks::{AttackKind, ReidentConfig};
 use ldp_core::inference::{AttackClassifier, AttackModel, SampledAttributeAttack};
 use ldp_core::metrics::mse_avg;
 use ldp_core::profiling::{expected_acc_nonuniform, expected_acc_uniform};
@@ -13,12 +14,20 @@ use ldp_datasets::priors::correct_priors;
 use ldp_gbdt::GbdtParams;
 use ldp_protocols::{deniability, ProtocolKind, UeMode};
 use ldp_sim::{
-    rid_acc_multi, run_rsfd_campaign, PrivacyModel, RsFdCampaignConfig, SamplingSetting,
+    run_rsfd_campaign, AttackPipeline, PrivacyModel, RsFdCampaignConfig, SamplingSetting,
     SmpCampaign, SurveyPlan,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
+
+/// The sharded RID-ACC evaluator at the paper's top-ks (1 and 10).
+fn reident_evaluator(seed: u64) -> AttackPipeline {
+    AttackPipeline::from_kind(AttackKind::Reident(ReidentConfig::default()))
+        .unwrap()
+        .seed(seed)
+        .threads(1)
+}
 
 fn classifier() -> AttackClassifier {
     AttackClassifier::Gbdt(GbdtParams {
@@ -58,6 +67,7 @@ fn fig02_kernel(c: &mut Criterion) {
     let plan = SurveyPlan::generate(ds.d(), 3, &mut rng);
     let all: Vec<usize> = (0..ds.d()).collect();
     let attack = ReidentAttack::build(&ds, &all);
+    let evaluator = reident_evaluator(5);
     let mut group = c.benchmark_group("fig02_smp_campaign_500_users");
     group.sample_size(10);
     group.bench_function("grr_eps4_3surveys_top1_10", |b| {
@@ -71,7 +81,7 @@ fn fig02_kernel(c: &mut Criterion) {
             )
             .unwrap();
             let snaps = campaign.run(&ds, &plan, 3, 1);
-            black_box(rid_acc_multi(&attack, &snaps[2], &[1, 10], 5, 1))
+            black_box(evaluator.rid_acc(&attack, &snaps[2]))
         })
     });
     group.finish();
@@ -85,6 +95,7 @@ fn fig12_kernel(c: &mut Criterion) {
     let plan = SurveyPlan::generate(ds.d(), 3, &mut rng);
     let all: Vec<usize> = (0..ds.d()).collect();
     let attack = ReidentAttack::build(&ds, &all);
+    let evaluator = reident_evaluator(6);
     let mut group = c.benchmark_group("fig12_pie_campaign_500_users");
     group.sample_size(10);
     group.bench_function("oue_beta0.7", |b| {
@@ -98,7 +109,7 @@ fn fig12_kernel(c: &mut Criterion) {
             )
             .unwrap();
             let snaps = campaign.run(&ds, &plan, 4, 1);
-            black_box(rid_acc_multi(&attack, &snaps[2], &[1, 10], 6, 1))
+            black_box(evaluator.rid_acc(&attack, &snaps[2]))
         })
     });
     group.finish();
@@ -139,6 +150,7 @@ fn fig04_kernel(c: &mut Criterion) {
     let plan = SurveyPlan::generate(ds.d(), 2, &mut rng);
     let all: Vec<usize> = (0..ds.d()).collect();
     let attack = ReidentAttack::build(&ds, &all);
+    let evaluator = reident_evaluator(8);
     let config = RsFdCampaignConfig {
         protocol: RsFdProtocol::Grr,
         epsilon: 6.0,
@@ -150,7 +162,7 @@ fn fig04_kernel(c: &mut Criterion) {
     group.bench_function("grr_eps6_2surveys", |b| {
         b.iter(|| {
             let snaps = run_rsfd_campaign(&ds, &plan, &config, 7, 1).unwrap();
-            black_box(rid_acc_multi(&attack, &snaps[1], &[1, 10], 8, 1))
+            black_box(evaluator.rid_acc(&attack, &snaps[1]))
         })
     });
     group.finish();

@@ -7,6 +7,7 @@
 
 use std::collections::BTreeMap;
 
+use ldp_core::attacks::{AttackKind, ReidentConfig};
 use ldp_core::inference::{AttackClassifier, AttackModel, SampledAttributeAttack};
 use ldp_core::metrics::mean_std;
 use ldp_core::reident::ReidentAttack;
@@ -15,7 +16,7 @@ use ldp_gbdt::LogisticParams;
 use ldp_protocols::hash::{mix2, mix3};
 use ldp_protocols::{ProtocolKind, UeMode};
 use ldp_sim::par::par_map;
-use ldp_sim::{rid_acc_multi, PrivacyModel, SamplingSetting, SmpCampaign, SurveyPlan};
+use ldp_sim::{AttackPipeline, PrivacyModel, SamplingSetting, SmpCampaign, SurveyPlan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -125,7 +126,14 @@ pub fn run_topk(cfg: &ExpConfig) -> ExperimentReport {
         let snaps = campaign.run(&ds, &plan, item_seed, 1);
         let all: Vec<usize> = (0..ds.d()).collect();
         let attack = ReidentAttack::build(&ds, &all);
-        (ei, rid_acc_multi(&attack, &snaps[4], &top_ks, item_seed, 1))
+        let evaluator = AttackPipeline::from_kind(AttackKind::Reident(ReidentConfig {
+            top_ks: top_ks.to_vec(),
+            ..ReidentConfig::default()
+        }))
+        .expect("reident attack kind")
+        .seed(item_seed)
+        .threads(1);
+        (ei, evaluator.rid_acc(&attack, &snaps[4]))
     });
 
     let mut buckets: BTreeMap<(usize, usize), Vec<f64>> = BTreeMap::new();

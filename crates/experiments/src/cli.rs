@@ -3,7 +3,7 @@
 //! vendors its dependencies — no clap) and lives here, out of the binary, so
 //! it is unit-testable.
 
-use crate::registry::{markdown_matrix, Experiment, ExperimentKind};
+use crate::registry::{find, markdown_matrix, Experiment, EXPERIMENTS};
 use crate::runner::{run_experiments, ExpStatus, RunOptions};
 use crate::serve::{solution_from_id, ListenOpts, ServeDataset, ServeSpec};
 use crate::ExpConfig;
@@ -118,12 +118,12 @@ pub enum Command {
     /// `risks describe <ids…|all>`.
     Describe {
         /// The selected experiments.
-        kinds: Vec<ExperimentKind>,
+        exps: Vec<&'static Experiment>,
     },
     /// `risks run <ids…|all> [options]`.
     Run {
         /// The selected experiments.
-        kinds: Vec<ExperimentKind>,
+        exps: Vec<&'static Experiment>,
         /// `--runs` override.
         runs: Option<usize>,
         /// `--scale` override.
@@ -201,15 +201,15 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         }
         Some("describe") => {
             let mut it = it.peekable();
-            let kinds = parse_ids(&mut it)?;
+            let exps = parse_ids(&mut it)?;
             if let Some(extra) = it.next() {
                 return Err(format!("unknown `describe` argument `{extra}`"));
             }
-            Ok(Command::Describe { kinds })
+            Ok(Command::Describe { exps })
         }
         Some("run") => {
             let mut it = it.peekable();
-            let kinds = parse_ids(&mut it)?;
+            let exps = parse_ids(&mut it)?;
             let (mut runs, mut scale, mut seed, mut threads, mut jobs, mut out) =
                 (None, None, None, None, None, None);
             let (mut force, mut quiet) = (false, false);
@@ -233,7 +233,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 }
             }
             Ok(Command::Run {
-                kinds,
+                exps,
                 runs,
                 scale,
                 seed,
@@ -468,32 +468,32 @@ fn parse_part(raw: &str) -> Result<(usize, usize), String> {
 /// stopping at the first `--flag`. Duplicates are dropped, order kept.
 fn parse_ids<'a, I: Iterator<Item = &'a str>>(
     it: &mut std::iter::Peekable<I>,
-) -> Result<Vec<ExperimentKind>, String> {
-    let mut kinds: Vec<ExperimentKind> = Vec::new();
+) -> Result<Vec<&'static Experiment>, String> {
+    let mut exps: Vec<&'static Experiment> = Vec::new();
     while let Some(&arg) = it.peek() {
         if arg.starts_with("--") {
             break;
         }
         it.next();
         if arg == "all" {
-            for k in ExperimentKind::ALL {
-                if !kinds.contains(&k) {
-                    kinds.push(k);
+            for exp in &EXPERIMENTS {
+                if !exps.contains(&exp) {
+                    exps.push(exp);
                 }
             }
             continue;
         }
-        let kind = ExperimentKind::from_id(arg).ok_or_else(|| {
+        let exp = find(arg).ok_or_else(|| {
             format!("unknown experiment `{arg}` (see `risks list` for the registry)")
         })?;
-        if !kinds.contains(&kind) {
-            kinds.push(kind);
+        if !exps.contains(&exp) {
+            exps.push(exp);
         }
     }
-    if kinds.is_empty() {
+    if exps.is_empty() {
         return Err("no experiments selected (pass ids or `all`)".to_string());
     }
-    Ok(kinds)
+    Ok(exps)
 }
 
 fn flag_value<T: std::str::FromStr>(flag: &str, value: Option<&str>) -> Result<T, String> {
@@ -505,18 +505,13 @@ fn flag_value<T: std::str::FromStr>(flag: &str, value: Option<&str>) -> Result<T
 /// The plain `risks list` table.
 pub fn list_text() -> String {
     let mut out = String::new();
-    let width = ExperimentKind::ALL
-        .iter()
-        .map(|k| k.id().len())
-        .max()
-        .unwrap_or(0);
-    for kind in ExperimentKind::ALL {
-        let exp = kind.build();
+    let width = EXPERIMENTS.iter().map(|e| e.id.len()).max().unwrap_or(0);
+    for exp in &EXPERIMENTS {
         out.push_str(&format!(
             "{id:<width$}  {paper:<22} {title}\n",
-            id = exp.id(),
-            paper = exp.paper_ref(),
-            title = exp.title(),
+            id = exp.id,
+            paper = exp.paper_ref,
+            title = exp.title,
         ));
     }
     out
@@ -537,14 +532,14 @@ pub fn execute(cmd: Command) -> i32 {
             }
             0
         }
-        Command::Describe { kinds } => {
-            for kind in kinds {
-                print!("{}", kind.build().describe());
+        Command::Describe { exps } => {
+            for exp in exps {
+                print!("{}", exp.describe());
             }
             0
         }
         Command::Run {
-            kinds,
+            exps,
             runs,
             scale,
             seed,
@@ -573,14 +568,14 @@ pub fn execute(cmd: Command) -> i32 {
             let opts = RunOptions { force, jobs, quiet };
             eprintln!(
                 "[risks] {} experiment(s): runs={} scale={} threads={} seed={} out={}",
-                kinds.len(),
+                exps.len(),
                 cfg.runs,
                 cfg.scale,
                 cfg.threads,
                 cfg.seed,
                 cfg.out_dir.display()
             );
-            let summary = run_experiments(&kinds, &cfg, &opts);
+            let summary = run_experiments(&exps, &cfg, &opts);
             let (done, cached, failed) = summary.partition_ids();
             eprintln!(
                 "[risks] finished in {:.1}s: {} completed, {} cached, {} failed",
@@ -589,9 +584,9 @@ pub fn execute(cmd: Command) -> i32 {
                 cached.len(),
                 failed.len()
             );
-            for (kind, status) in &summary.results {
+            for (exp, status) in &summary.results {
                 if let ExpStatus::Failed(msg) = status {
-                    eprintln!("[risks]   {} failed: {msg}", kind.id());
+                    eprintln!("[risks]   {} failed: {msg}", exp.id);
                 }
             }
             i32::from(summary.any_failed())
@@ -681,14 +676,14 @@ mod tests {
         .unwrap();
         match cmd {
             Command::Run {
-                kinds,
+                exps,
                 scale,
                 jobs,
                 force,
                 quiet,
                 ..
             } => {
-                assert_eq!(kinds, vec![ExperimentKind::Fig04, ExperimentKind::Fig01]);
+                assert_eq!(exps, vec![find("fig04").unwrap(), find("fig01").unwrap()]);
                 assert_eq!(scale, Some(0.01));
                 assert_eq!(jobs, Some(2));
                 assert!(force);
@@ -702,9 +697,9 @@ mod tests {
     fn all_expands_and_dedupes() {
         let cmd = parse(&s(&["describe", "fig04", "all"])).unwrap();
         match cmd {
-            Command::Describe { kinds } => {
-                assert_eq!(kinds.len(), ExperimentKind::ALL.len());
-                assert_eq!(kinds[0], ExperimentKind::Fig04);
+            Command::Describe { exps } => {
+                assert_eq!(exps.len(), EXPERIMENTS.len());
+                assert_eq!(exps[0], find("fig04").unwrap());
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1005,7 +1000,7 @@ mod tests {
     #[test]
     fn list_text_covers_registry() {
         let text = list_text();
-        assert_eq!(text.lines().count(), ExperimentKind::ALL.len());
+        assert_eq!(text.lines().count(), EXPERIMENTS.len());
         assert!(text.contains("fig04"));
         assert!(text.contains("ablation_topk"));
     }

@@ -1,9 +1,10 @@
 //! # ldp-experiments
 //!
 //! Reproduction harness behind one registry-driven entry point: every figure,
-//! table and ablation of the paper's evaluation is an [`registry::ExperimentKind`]
-//! (the experiment-layer mirror of `SolutionKind`/`AttackKind`), and the
-//! `risks` binary drives the whole registry:
+//! table and ablation of the paper's evaluation is one row of the static
+//! [`registry::EXPERIMENTS`] table (a plain [`registry::Experiment`]: id,
+//! paper reference, datasets, outputs, cost and its `run` function), and the
+//! `risks` binary drives the whole table:
 //!
 //! ```sh
 //! risks list                    # enumerate the registry
@@ -57,7 +58,7 @@ pub mod fig16;
 pub mod fig17;
 
 pub use config::ExpConfig;
-pub use registry::{DynExperiment, Experiment, ExperimentKind, ExperimentReport};
+pub use registry::ExperimentReport;
 pub use table::Table;
 
 /// The paper's ε grid for the attack experiments (§4.2).

@@ -16,7 +16,7 @@ use std::time::Instant;
 use ldp_sim::par::par_queue;
 
 use crate::manifest::{config_hash, git_rev, Manifest};
-use crate::registry::{Experiment, ExperimentKind};
+use crate::registry::Experiment;
 use crate::ExpConfig;
 
 /// Options of one `risks run` invocation.
@@ -43,7 +43,8 @@ pub enum ExpStatus {
     /// Skipped: a manifest with the same config hash and intact outputs
     /// already exists (pass `--force` to re-run).
     Cached,
-    /// The experiment panicked; the payload is the panic message.
+    /// The experiment panicked (the payload is the panic message), or its
+    /// report's files differ from the row's declared `outputs`.
     Failed(String),
 }
 
@@ -51,7 +52,7 @@ pub enum ExpStatus {
 #[derive(Debug, Clone)]
 pub struct RunSummary {
     /// Per-experiment status, in the order the experiments were requested.
-    pub results: Vec<(ExperimentKind, ExpStatus)>,
+    pub results: Vec<(&'static Experiment, ExpStatus)>,
     /// Wall-clock seconds for the whole pass.
     pub wall_secs: f64,
 }
@@ -70,11 +71,11 @@ impl RunSummary {
         let mut done = Vec::new();
         let mut cached = Vec::new();
         let mut failed = Vec::new();
-        for (kind, status) in &self.results {
+        for (exp, status) in &self.results {
             match status {
-                ExpStatus::Completed { .. } => done.push(kind.id()),
-                ExpStatus::Cached => cached.push(kind.id()),
-                ExpStatus::Failed(_) => failed.push(kind.id()),
+                ExpStatus::Completed { .. } => done.push(exp.id),
+                ExpStatus::Cached => cached.push(exp.id),
+                ExpStatus::Failed(_) => failed.push(exp.id),
             }
         }
         (done, cached, failed)
@@ -82,40 +83,39 @@ impl RunSummary {
 }
 
 /// Runs the selected experiments under `cfg`, returning one status per
-/// requested kind (input order). See the module docs for the scheduling
-/// model.
-pub fn run_experiments(kinds: &[ExperimentKind], cfg: &ExpConfig, opts: &RunOptions) -> RunSummary {
+/// requested experiment (input order). See the module docs for the
+/// scheduling model.
+pub fn run_experiments(
+    exps: &[&'static Experiment],
+    cfg: &ExpConfig,
+    opts: &RunOptions,
+) -> RunSummary {
     let started = Instant::now();
     let rev = git_rev();
 
     // Cache pass: a fresh manifest (same config hash and code revision,
     // outputs intact) is a hit unless --force.
-    let mut scheduled: Vec<ExperimentKind> = Vec::new();
-    let mut statuses: Vec<(ExperimentKind, Option<ExpStatus>)> = Vec::new();
-    for &kind in kinds {
-        let exp = kind.build();
+    let mut scheduled: Vec<&'static Experiment> = Vec::new();
+    let mut statuses: Vec<(&'static Experiment, Option<ExpStatus>)> = Vec::new();
+    for &exp in exps {
         let fresh = !opts.force
-            && Manifest::load(&cfg.out_dir, exp.id())
-                .is_some_and(|m| m.is_fresh(exp.id(), cfg, rev.as_deref()));
+            && Manifest::load(&cfg.out_dir, exp.id)
+                .is_some_and(|m| m.is_fresh(exp.id, cfg, rev.as_deref()));
         if fresh {
             eprintln!(
                 "[risks] {} cached (manifest fresh; --force to re-run)",
-                exp.id()
+                exp.id
             );
-            statuses.push((kind, Some(ExpStatus::Cached)));
+            statuses.push((exp, Some(ExpStatus::Cached)));
         } else {
-            scheduled.push(kind);
-            statuses.push((kind, None));
+            scheduled.push(exp);
+            statuses.push((exp, None));
         }
     }
 
     // Longest-first: the queue hands jobs out in order, so sorting by
     // descending cost keeps the expensive figures from becoming the tail.
-    scheduled.sort_by(|a, b| {
-        b.build()
-            .estimated_cost()
-            .total_cmp(&a.build().estimated_cost())
-    });
+    scheduled.sort_by(|a, b| b.cost.total_cmp(&a.cost));
 
     let jobs = opts
         .jobs
@@ -128,53 +128,62 @@ pub fn run_experiments(kinds: &[ExperimentKind], cfg: &ExpConfig, opts: &RunOpti
         ..cfg.clone()
     };
 
-    let outcomes: Vec<(ExperimentKind, ExpStatus)> = par_queue(scheduled.len(), jobs, |i| {
-        let kind = scheduled[i];
-        (kind, run_one(kind, &inner, opts, rev.as_deref()))
+    let outcomes: Vec<(&'static Experiment, ExpStatus)> = par_queue(scheduled.len(), jobs, |i| {
+        let exp = scheduled[i];
+        (exp, run_one(exp, &inner, opts, rev.as_deref()))
     });
 
-    for (kind, status) in outcomes {
+    for (exp, status) in outcomes {
         let slot = statuses
             .iter_mut()
-            .find(|(k, s)| *k == kind && s.is_none())
+            .find(|(e, s)| *e == exp && s.is_none())
             .expect("scheduled experiment came from the request list");
         slot.1 = Some(status);
     }
     RunSummary {
         results: statuses
             .into_iter()
-            .map(|(k, s)| (k, s.expect("every experiment got a status")))
+            .map(|(e, s)| (e, s.expect("every experiment got a status")))
             .collect(),
         wall_secs: started.elapsed().as_secs_f64(),
     }
 }
 
-/// Runs one experiment, prints its tables, persists CSVs + manifest.
+/// Runs one experiment, checks its files against the row's declared
+/// `outputs`, prints its tables, persists CSVs + manifest.
 fn run_one(
-    kind: ExperimentKind,
+    exp: &Experiment,
     cfg: &ExpConfig,
     opts: &RunOptions,
     git_rev: Option<&str>,
 ) -> ExpStatus {
-    let exp = kind.build();
-    eprintln!("[risks] running {} ({}) …", exp.id(), exp.paper_ref());
+    eprintln!("[risks] running {} ({}) …", exp.id, exp.paper_ref);
     let started = Instant::now();
-    let report = match catch_unwind(AssertUnwindSafe(|| exp.run(cfg))) {
+    let report = match catch_unwind(AssertUnwindSafe(|| (exp.run)(cfg))) {
         Ok(report) => report,
         Err(payload) => {
             let msg = panic_message(payload.as_ref());
-            eprintln!("[risks] {} FAILED: {msg}", exp.id());
+            eprintln!("[risks] {} FAILED: {msg}", exp.id);
             return ExpStatus::Failed(msg);
         }
     };
     let wall_secs = started.elapsed().as_secs_f64();
+    if report.files() != exp.outputs {
+        let msg = format!(
+            "report files [{}] differ from declared outputs [{}]",
+            report.files().join(", "),
+            exp.outputs.join(", ")
+        );
+        eprintln!("[risks] {} FAILED: {msg}", exp.id);
+        return ExpStatus::Failed(msg);
+    }
     if !opts.quiet {
         print!("{}", report.render());
     }
     report.write_csvs(&cfg.out_dir);
     let manifest = Manifest {
-        id: exp.id().to_string(),
-        config_hash: config_hash(exp.id(), cfg),
+        id: exp.id.to_string(),
+        config_hash: config_hash(exp.id, cfg),
         seed: cfg.seed,
         runs: cfg.runs,
         scale: cfg.scale,
@@ -186,7 +195,7 @@ fn run_one(
     let path = manifest.write(&cfg.out_dir);
     eprintln!(
         "[risks] {} done in {wall_secs:.1}s ({} rows) → {} + {}",
-        exp.id(),
+        exp.id,
         manifest.rows,
         manifest.outputs.join(", "),
         path.display()
@@ -211,20 +220,21 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::find;
 
     #[test]
     fn summary_partitions_and_flags_failures() {
         let summary = RunSummary {
             results: vec![
                 (
-                    ExperimentKind::Fig01,
+                    find("fig01").unwrap(),
                     ExpStatus::Completed {
                         wall_secs: 0.1,
                         rows: 5,
                     },
                 ),
-                (ExperimentKind::Fig02, ExpStatus::Cached),
-                (ExperimentKind::Fig03, ExpStatus::Failed("boom".into())),
+                (find("fig02").unwrap(), ExpStatus::Cached),
+                (find("fig03").unwrap(), ExpStatus::Failed("boom".into())),
             ],
             wall_secs: 0.2,
         };
@@ -233,5 +243,47 @@ mod tests {
         assert_eq!(done, ["fig01"]);
         assert_eq!(cached, ["fig02"]);
         assert_eq!(failed, ["fig03"]);
+    }
+
+    /// A row whose `run` writes other files than it declares (here: fig01's
+    /// body under a wrong `outputs`) fails before anything is written.
+    static MISWIRED: Experiment = Experiment {
+        id: "miswired",
+        title: "fig01's body under the wrong outputs",
+        paper_ref: "test",
+        datasets: &[],
+        outputs: &["miswired.csv"],
+        cost: 0.1,
+        run: crate::fig01::run,
+    };
+
+    #[test]
+    fn mismatched_outputs_fail_and_write_nothing() {
+        let out_dir =
+            std::env::temp_dir().join(format!("risks_runner_miswired_{}", std::process::id()));
+        std::fs::remove_dir_all(&out_dir).ok();
+        let cfg = ExpConfig {
+            runs: 1,
+            scale: 0.01,
+            threads: 1,
+            seed: 42,
+            out_dir: out_dir.clone(),
+        };
+        let opts = RunOptions {
+            quiet: true,
+            ..RunOptions::default()
+        };
+        let summary = run_experiments(&[&MISWIRED], &cfg, &opts);
+        match &summary.results[0].1 {
+            ExpStatus::Failed(msg) => {
+                assert!(msg.contains("fig01.csv"), "{msg}");
+                assert!(msg.contains("miswired.csv"), "{msg}");
+            }
+            other => panic!("expected a failure, got {other:?}"),
+        }
+        assert!(summary.any_failed());
+        let written = std::fs::read_dir(&out_dir).map_or(0, |d| d.count());
+        assert_eq!(written, 0, "nothing may be written for a miswired row");
+        std::fs::remove_dir_all(&out_dir).ok();
     }
 }

@@ -192,8 +192,15 @@ impl AttackPipeline {
     /// # Panics
     /// Panics when the configured attack is not `Reident`.
     pub fn rid_acc(&self, index: &ReidentAttack, profiles: &[Profile]) -> Vec<f64> {
-        let top_ks = &self.reident_scenario().config().top_ks;
-        rid_acc_sharded(index, profiles, top_ks, self.seed, self.threads)
+        let eval = ReidentEval {
+            index,
+            profiles,
+            top_ks: &self.reident_scenario().config().top_ks,
+        };
+        match self.evaluate(&eval) {
+            AttackOutcome::Reident(o) => o.rid_acc,
+            _ => unreachable!("ReidentEval always yields a reident outcome"),
+        }
     }
 }
 
@@ -232,26 +239,6 @@ pub(crate) fn evaluate_sharded(
         }
     }
     fitted.outcome(&counts)
-}
-
-/// Sharded RID-ACC over borrowed profiles (the engine behind
-/// [`AttackPipeline::rid_acc`] and the legacy `rid_acc_multi` helpers).
-pub(crate) fn rid_acc_sharded(
-    index: &ReidentAttack,
-    profiles: &[Profile],
-    top_ks: &[usize],
-    seed: u64,
-    threads: usize,
-) -> Vec<f64> {
-    let eval = ReidentEval {
-        index,
-        profiles,
-        top_ks,
-    };
-    match evaluate_sharded(&eval, seed, threads) {
-        AttackOutcome::Reident(o) => o.rid_acc,
-        _ => unreachable!("ReidentEval always yields a reident outcome"),
-    }
 }
 
 #[cfg(test)]
@@ -346,6 +333,40 @@ mod tests {
             top_ks: &[1, 10],
         });
         assert_eq!(accs, via_eval.reident().unwrap().rid_acc);
+    }
+
+    #[test]
+    fn parallel_rid_acc_matches_serial_distribution() {
+        let ds = adult_like(400, 3);
+        let all: Vec<usize> = (0..ds.d()).collect();
+        let attack = ReidentAttack::build(&ds, &all);
+        // Perfect profiles: RID-ACC should be ≈ the uniqueness fraction or
+        // higher (ties only among identical records).
+        let profiles: Vec<Profile> = (0..ds.n())
+            .map(|i| {
+                let mut p = Profile::new();
+                for j in 0..ds.d() {
+                    p.observe(j, ds.value(i, j));
+                }
+                p
+            })
+            .collect();
+        let top1 = |threads: usize| {
+            AttackPipeline::from_kind(AttackKind::Reident(ReidentConfig {
+                top_ks: vec![1],
+                ..ReidentConfig::default()
+            }))
+            .unwrap()
+            .seed(7)
+            .threads(threads)
+            .rid_acc(&attack, &profiles)[0]
+        };
+        let acc = top1(4);
+        let uniq = 100.0 * ds.uniqueness_fraction(&all);
+        assert!(acc >= uniq - 1.0, "acc {acc} vs uniqueness {uniq}");
+        // Deterministic across thread counts.
+        let acc2 = top1(1);
+        assert!((acc - acc2).abs() < 1e-9);
     }
 
     #[test]

@@ -42,7 +42,6 @@
 
 pub mod attack_pipeline;
 pub mod campaign;
-pub mod composition;
 pub mod fault;
 pub mod net_client;
 pub mod par;
@@ -62,64 +61,3 @@ pub use pipeline::{
 pub use rsfd_campaign::{run_rsfd_campaign, RsFdCampaignConfig};
 pub use survey::SurveyPlan;
 pub use traffic::{TrafficGenerator, TrafficShape};
-
-use ldp_core::profiling::Profile;
-use ldp_core::reident::ReidentAttack;
-
-/// Thread-parallel RID-ACC (%) evaluation: profiles are matched against the
-/// background index in contiguous user chunks, each thread reusing one
-/// scratch buffer. Deterministic for a fixed `seed` regardless of `threads`.
-///
-/// Convenience over the [`AttackPipeline`] machinery (identical rng
-/// streams); prefer the pipeline for end-to-end runs.
-pub fn rid_acc_parallel(
-    attack: &ReidentAttack,
-    profiles: &[Profile],
-    top_k: usize,
-    seed: u64,
-    threads: usize,
-) -> f64 {
-    rid_acc_multi(attack, profiles, &[top_k], seed, threads)[0]
-}
-
-/// [`rid_acc_parallel`] for several top-k values sharing one matching pass.
-/// Returns one RID-ACC (%) per entry of `top_ks`.
-pub fn rid_acc_multi(
-    attack: &ReidentAttack,
-    profiles: &[Profile],
-    top_ks: &[usize],
-    seed: u64,
-    threads: usize,
-) -> Vec<f64> {
-    attack_pipeline::rid_acc_sharded(attack, profiles, top_ks, seed, threads)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ldp_datasets::corpora::adult_like;
-
-    #[test]
-    fn parallel_rid_acc_matches_serial_distribution() {
-        let ds = adult_like(400, 3);
-        let all: Vec<usize> = (0..ds.d()).collect();
-        let attack = ReidentAttack::build(&ds, &all);
-        // Perfect profiles: RID-ACC should be ≈ the uniqueness fraction or
-        // higher (ties only among identical records).
-        let profiles: Vec<Profile> = (0..ds.n())
-            .map(|i| {
-                let mut p = Profile::new();
-                for j in 0..ds.d() {
-                    p.observe(j, ds.value(i, j));
-                }
-                p
-            })
-            .collect();
-        let acc = rid_acc_parallel(&attack, &profiles, 1, 7, 4);
-        let uniq = 100.0 * ds.uniqueness_fraction(&all);
-        assert!(acc >= uniq - 1.0, "acc {acc} vs uniqueness {uniq}");
-        // Deterministic across thread counts.
-        let acc2 = rid_acc_parallel(&attack, &profiles, 1, 7, 1);
-        assert!((acc - acc2).abs() < 1e-9);
-    }
-}

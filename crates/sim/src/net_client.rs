@@ -266,16 +266,18 @@ impl NetClient {
         Ok(())
     }
 
-    /// Requests the server's current merged estimates; with `quiesce`, the
-    /// server barriers first so the snapshot covers at least everything
-    /// this producer pushed before the call (buffered reports are flushed
-    /// first). This is the incremental estimate-while-ingesting stream.
-    pub fn snapshot(&mut self, quiesce: bool) -> Result<WireSnapshot, WireError> {
+    /// Flushes buffered reports, then runs one request/response step
+    /// (`once`), recovering the connection and retrying it up to
+    /// `cfg.retries` more times. A failing `recover` propagates.
+    fn request<T>(
+        &mut self,
+        mut once: impl FnMut(&mut Self) -> Result<T, WireError>,
+    ) -> Result<T, WireError> {
         self.flush()?;
         let mut attempts = 0u32;
         loop {
-            match self.snapshot_once(quiesce) {
-                Ok(snapshot) => return Ok(snapshot),
+            match once(self) {
+                Ok(value) => return Ok(value),
                 Err(e) => {
                     attempts += 1;
                     if attempts > self.cfg.retries {
@@ -285,6 +287,14 @@ impl NetClient {
                 }
             }
         }
+    }
+
+    /// Requests the server's current merged estimates; with `quiesce`, the
+    /// server barriers first so the snapshot covers at least everything
+    /// this producer pushed before the call (buffered reports are flushed
+    /// first). This is the incremental estimate-while-ingesting stream.
+    pub fn snapshot(&mut self, quiesce: bool) -> Result<WireSnapshot, WireError> {
+        self.request(|c| c.snapshot_once(quiesce))
     }
 
     fn snapshot_once(&mut self, quiesce: bool) -> Result<WireSnapshot, WireError> {
@@ -307,20 +317,7 @@ impl NetClient {
     /// Safe across faults: barrier arrival is keyed by session token and
     /// idempotent, so a re-announce after a resume never double-counts.
     pub fn advance_epoch(&mut self, round: u64) -> Result<u64, WireError> {
-        self.flush()?;
-        let mut attempts = 0u32;
-        loop {
-            match self.advance_epoch_once(round) {
-                Ok(next) => return Ok(next),
-                Err(e) => {
-                    attempts += 1;
-                    if attempts > self.cfg.retries {
-                        return Err(e);
-                    }
-                    self.recover(e)?;
-                }
-            }
-        }
+        self.request(|c| c.advance_epoch_once(round))
     }
 
     fn advance_epoch_once(&mut self, round: u64) -> Result<u64, WireError> {
@@ -343,20 +340,7 @@ impl NetClient {
     /// are checksummed, sequenced and deduplicated, and the ack counts
     /// post-validation envelopes across every connection of the session).
     pub fn finish(mut self) -> Result<u64, WireError> {
-        self.flush()?;
-        let mut attempts = 0u32;
-        loop {
-            match self.finish_once() {
-                Ok(n) => return Ok(n),
-                Err(e) => {
-                    attempts += 1;
-                    if attempts > self.cfg.retries {
-                        return Err(e);
-                    }
-                    self.recover(e)?;
-                }
-            }
-        }
+        self.request(Self::finish_once)
     }
 
     fn finish_once(&mut self) -> Result<u64, WireError> {

@@ -6,11 +6,12 @@
 //! cargo run --release --example pie_privacy
 //! ```
 
+use ldp_core::attacks::{AttackKind, ReidentConfig};
 use ldp_core::pie::{self, PieDecision};
 use ldp_core::reident::ReidentAttack;
 use ldp_datasets::corpora::adult_like;
 use ldp_protocols::ProtocolKind;
-use ldp_sim::{rid_acc_multi, PrivacyModel, SamplingSetting, SmpCampaign, SurveyPlan};
+use ldp_sim::{AttackPipeline, PrivacyModel, SamplingSetting, SmpCampaign, SurveyPlan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -43,6 +44,11 @@ fn main() {
     let plan = SurveyPlan::generate(dataset.d(), 5, &mut rng);
     let all: Vec<usize> = (0..dataset.d()).collect();
     let attack = ReidentAttack::build(&dataset, &all);
+    // Sharded RID-ACC at the paper's top-ks (1 and 10).
+    let evaluator = AttackPipeline::from_kind(AttackKind::Reident(ReidentConfig::default()))
+        .expect("reident attack kind")
+        .seed(5)
+        .threads(2);
 
     println!(
         "\n{:<26} {:>9} {:>9}",
@@ -71,7 +77,7 @@ fn main() {
         )
         .expect("campaign");
         let snaps = campaign.run(&dataset, &plan, 77, 2);
-        let accs = rid_acc_multi(&attack, &snaps[4], &[1, 10], 5, 2);
+        let accs = evaluator.rid_acc(&attack, &snaps[4]);
         println!("{:<26} {:>9.2} {:>9.2}", label, accs[0], accs[1]);
     }
 
