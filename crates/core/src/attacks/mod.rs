@@ -54,8 +54,12 @@ pub struct AdversaryView<'a> {
     pub dataset: &'a Dataset,
     /// The collection solution that produced `observed`.
     pub solution: &'a DynSolution,
-    /// Every sanitized message of the round (the adversary sees the wire).
-    pub observed: &'a [SolutionReport],
+    /// Every sanitized message of the round (the adversary sees the wire),
+    /// each beside the simulator's ground truth: the attribute RS+FD /
+    /// RS+RFD really sanitized, `None` for the other solutions. The truth
+    /// never travels on the wire; attacks read it only to label compromised
+    /// users and to score their guesses.
+    pub observed: &'a [(SolutionReport, Option<usize>)],
     /// Continuous ground truth for mixed rounds: the numeric attacks need
     /// the users' true normalized values (and population histograms as
     /// priors), which the categorical [`Dataset`] cannot carry. `None` for

@@ -86,7 +86,7 @@ impl Attack for NumericScenario {
         let mut posterior = vec![0.0f64; buckets];
         let correct: Vec<bool> = (0..truth.n())
             .map(|i| {
-                let report = match &view.observed[i] {
+                let report = match &view.observed[i].0 {
                     SolutionReport::Mixed(r) => r,
                     other => {
                         panic!("mixed solution produced a non-mixed report: {other:?} for user {i}")
@@ -216,13 +216,14 @@ mod tests {
         solution: &DynSolution,
         truth: &ldp_datasets::MixedDataset,
         seed: u64,
-    ) -> Vec<SolutionReport> {
+    ) -> Vec<(SolutionReport, Option<usize>)> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..truth.n())
             .map(|i| {
-                solution
+                let report = solution
                     .report_mixed(truth.cat().row(i), truth.num_row(i), &mut rng)
-                    .unwrap()
+                    .unwrap();
+                (report, None)
             })
             .collect()
     }

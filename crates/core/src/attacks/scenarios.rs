@@ -63,7 +63,7 @@ impl ReidentScenario {
             DynSolution::Smp(s) => view
                 .observed
                 .iter()
-                .map(|r| match r {
+                .map(|(r, _)| match r {
                     SolutionReport::Smp(m) => {
                         let mut p = Profile::new();
                         p.observe(
@@ -78,7 +78,7 @@ impl ReidentScenario {
             DynSolution::Spl(s) => view
                 .observed
                 .iter()
-                .map(|r| match r {
+                .map(|(r, _)| match r {
                     SolutionReport::Full(reports) => {
                         let mut p = Profile::new();
                         for (j, rep) in reports.iter().enumerate() {
@@ -565,7 +565,8 @@ impl FittedAttack for FittedPie {
     }
 }
 
-/// Extracts the fake-data tuples from a round of observed messages.
+/// Rejoins a round of observed fake-data tuples with their ground-truth
+/// sampled attributes, the shape the §3.3 attack trains and scores on.
 ///
 /// Clones the wire: `SampledAttributeAttack::train` (and the
 /// `MultidimSolution::estimate*` surface underneath) consumes owned
@@ -574,12 +575,16 @@ impl FittedAttack for FittedPie {
 /// through that trait surface.
 ///
 /// # Panics
-/// Panics when a message is not a full-tuple report.
-fn extract_tuples(observed: &[SolutionReport]) -> Vec<MultidimReport> {
+/// Panics when a message is not a full-tuple report or lacks its sampled
+/// attribute.
+fn extract_tuples(observed: &[(SolutionReport, Option<usize>)]) -> Vec<MultidimReport> {
     observed
         .iter()
-        .map(|r| match r {
-            SolutionReport::Tuple(t) => t.clone(),
+        .map(|observation| match observation {
+            (SolutionReport::Full(values), Some(sampled)) => MultidimReport {
+                values: values.clone(),
+                sampled: *sampled,
+            },
             _ => panic!("expected full fake-data tuples in the observed round"),
         })
         .collect()
@@ -616,10 +621,14 @@ mod tests {
         Dataset::new(Schema::from_cardinalities(&cards), data)
     }
 
-    fn observe(solution: &DynSolution, dataset: &Dataset, seed: u64) -> Vec<SolutionReport> {
+    fn observe(
+        solution: &DynSolution,
+        dataset: &Dataset,
+        seed: u64,
+    ) -> Vec<(SolutionReport, Option<usize>)> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..dataset.n())
-            .map(|i| solution.report(dataset.row(i), &mut rng))
+            .map(|i| solution.report_with_truth(dataset.row(i), &mut rng))
             .collect()
     }
 
@@ -731,13 +740,7 @@ mod tests {
         let got = evaluate_serial(fitted.as_ref(), 12);
         let got = got.inference().expect("inference outcome");
 
-        let tuples: Vec<MultidimReport> = observed
-            .iter()
-            .map(|r| match r {
-                SolutionReport::Tuple(t) => t.clone(),
-                _ => unreachable!(),
-            })
-            .collect();
+        let tuples = extract_tuples(&observed);
         let reference = match &solution {
             DynSolution::RsFd(s) => {
                 SampledAttributeAttack::evaluate(s, &tuples, &model, &logistic(), &mut fit_rng(12))
@@ -834,7 +837,7 @@ mod tests {
             .build(&ks, 8.0)
             .unwrap();
         let one_round = observe(&solution, &ds, 26);
-        let replayed: Vec<SolutionReport> = (0..4).flat_map(|_| one_round.clone()).collect();
+        let replayed: Vec<_> = (0..4).flat_map(|_| one_round.clone()).collect();
         let single = AdversaryView {
             dataset: &ds,
             solution: &solution,

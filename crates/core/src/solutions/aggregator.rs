@@ -22,7 +22,7 @@
 //! for uid in 0..1_000u32 {
 //!     let tuple = [uid % 12, uid % 8, uid % 3];
 //!     let shard = if uid % 2 == 0 { &mut site_a } else { &mut site_b };
-//!     shard.absorb_tuple(&rsfd.report(&tuple, &mut rng));
+//!     shard.absorb_full(&rsfd.report(&tuple, &mut rng).values);
 //! }
 //! let mut server = rsfd.aggregator();
 //! server.merge(&site_a);
@@ -41,7 +41,7 @@ use super::mixed::{MixedEntry, MixedReport};
 use super::rsfd::RsFdProtocol;
 use super::rsrfd::RsRfdProtocol;
 use super::smp::SmpReport;
-use super::{MultidimReport, SolutionReport};
+use super::SolutionReport;
 
 /// Which unbiased estimator [`MultidimAggregator::estimate`] applies, plus
 /// the per-attribute parameters it needs. Built by the owning solution.
@@ -161,7 +161,7 @@ impl EstimatorSpec {
 
 /// Adds one fake-data report entry (attribute `j`, for diagnostics) to its
 /// attribute's counts: a `Value` counts itself, `Bits` counts every set bit.
-/// The counting path shared by [`MultidimAggregator::absorb_tuple`] and the
+/// The fake-data counting path of [`MultidimAggregator::absorb_full`] and the
 /// tests' batch reference `support_counts`; the oracle-aware sibling for
 /// SPL/SMP reports is `ldp_protocols::oracle::count_support`.
 ///
@@ -217,7 +217,7 @@ pub(crate) fn count_fake_data_entry(counts: &mut [u64], j: usize, rep: &Report) 
 /// let mut rng = StdRng::seed_from_u64(7);
 /// let mut agg = rsfd.aggregator();
 /// for _ in 0..10_000 {
-///     agg.absorb_tuple(&rsfd.report(&[2, 1], &mut rng));
+///     agg.absorb_full(&rsfd.report(&[2, 1], &mut rng).values);
 /// }
 /// let est = agg.estimate();
 /// assert!((est[0][2] - 1.0).abs() < 0.1);
@@ -296,7 +296,6 @@ impl MultidimAggregator {
         match report {
             SolutionReport::Full(reports) => self.absorb_full(reports),
             SolutionReport::Smp(report) => self.absorb_smp(report),
-            SolutionReport::Tuple(report) => self.absorb_tuple(report),
             SolutionReport::Mixed(report) => self.absorb_mixed(report),
         }
     }
@@ -338,15 +337,22 @@ impl MultidimAggregator {
         }
     }
 
-    /// Absorbs one SPL report: one sanitized value per attribute.
+    /// Absorbs one report per attribute: an SPL report, counted through
+    /// each attribute's oracle, or an RS+FD / RS+RFD fake-data tuple,
+    /// counted entry by entry. The estimator picks the counting.
     pub fn absorb_full(&mut self, reports: &[Report]) {
-        let EstimatorSpec::Spl { oracles } = &self.spec else {
-            panic!("absorb_full: this aggregator does not serve SPL reports");
+        let oracles = match &self.spec {
+            EstimatorSpec::Spl { oracles } => Some(oracles),
+            EstimatorSpec::RsFd { .. } | EstimatorSpec::RsRfd { .. } => None,
+            _ => panic!("absorb_full: this aggregator does not serve SPL or fake-data reports"),
         };
         debug_assert_eq!(reports.len(), self.ks.len(), "tuple width mismatch");
         self.n += 1;
-        for ((counts, oracle), report) in self.counts.iter_mut().zip(oracles).zip(reports) {
-            count_support(oracle, counts, report);
+        for (j, (counts, report)) in self.counts.iter_mut().zip(reports).enumerate() {
+            match oracles {
+                Some(oracles) => count_support(&oracles[j], counts, report),
+                None => count_fake_data_entry(counts, j, report),
+            }
         }
     }
 
@@ -379,16 +385,24 @@ impl MultidimAggregator {
     pub fn absorb_compact(&mut self, batch: &super::CompactBatch) {
         let mut cursor = batch.cursor();
         while !cursor.done() {
-            let (kind, a, _sampled) = cursor.solution_header();
+            let (kind, a) = cursor.solution_header();
             match (kind, &self.spec) {
-                (0, EstimatorSpec::Spl { oracles }) => {
+                (
+                    0,
+                    spec @ (EstimatorSpec::Spl { .. }
+                    | EstimatorSpec::RsFd { .. }
+                    | EstimatorSpec::RsRfd { .. }),
+                ) => {
                     // Hard assert: a width mismatch would desync the cursor.
                     assert_eq!(a, self.ks.len(), "tuple width mismatch");
+                    let oracles = match spec {
+                        EstimatorSpec::Spl { oracles } => Some(oracles),
+                        _ => None,
+                    };
                     self.n += 1;
-                    for (j, (counts, oracle)) in
-                        self.counts.iter_mut().zip(oracles).enumerate().take(a)
-                    {
-                        super::compact::count_entry(counts, Some(oracle), j, &mut cursor);
+                    for (j, counts) in self.counts.iter_mut().enumerate() {
+                        let oracle = oracles.map(|o| &o[j]);
+                        super::compact::count_entry(counts, oracle, j, &mut cursor);
                     }
                 }
                 (1, EstimatorSpec::Smp { oracles }) => {
@@ -401,14 +415,6 @@ impl MultidimAggregator {
                         a,
                         &mut cursor,
                     );
-                }
-                (2, EstimatorSpec::RsFd { .. } | EstimatorSpec::RsRfd { .. }) => {
-                    // Hard assert: a width mismatch would desync the cursor.
-                    assert_eq!(a, self.ks.len(), "tuple width mismatch");
-                    self.n += 1;
-                    for (j, counts) in self.counts.iter_mut().enumerate() {
-                        super::compact::count_entry(counts, None, j, &mut cursor);
-                    }
                 }
                 (3, EstimatorSpec::Mixed { oracles, .. }) => {
                     // `a` = number of entries; validated against sample_k by
@@ -448,19 +454,6 @@ impl MultidimAggregator {
                      aggregator's solution"
                 ),
             }
-        }
-    }
-
-    /// Absorbs one RS+FD / RS+RFD full-tuple report.
-    pub fn absorb_tuple(&mut self, report: &MultidimReport) {
-        match &self.spec {
-            EstimatorSpec::RsFd { .. } | EstimatorSpec::RsRfd { .. } => {}
-            _ => panic!("absorb_tuple: this aggregator does not serve fake-data tuples"),
-        }
-        debug_assert_eq!(report.values.len(), self.ks.len(), "tuple width mismatch");
-        self.n += 1;
-        for (j, rep) in report.values.iter().enumerate() {
-            count_fake_data_entry(&mut self.counts[j], j, rep);
         }
     }
 
@@ -659,11 +652,11 @@ mod tests {
 
         let mut sequential = rsfd.aggregator();
         for r in &reports {
-            sequential.absorb_tuple(r);
+            sequential.absorb_full(&r.values);
         }
         let mut shards: Vec<_> = (0..4).map(|_| rsfd.aggregator()).collect();
         for (i, r) in reports.iter().enumerate() {
-            shards[i % 4].absorb_tuple(r);
+            shards[i % 4].absorb_full(&r.values);
         }
         let mut merged = rsfd.aggregator();
         for s in &shards {

@@ -22,10 +22,10 @@
 //! ## Wire format (per report, in 64-bit words)
 //!
 //! ```text
-//! solution header: kind(2 bits) | a(bits 2..33) | b(bits 33..64)
-//!     kind 0 = Full  (a = d)           → d entries follow
+//! solution header: kind(2 bits) | a(bits 2..33); bits 33..64 must be 0
+//!     kind 0 = Full  (a = d)           → d entries follow (SPL, RS+FD, RS+RFD)
 //!     kind 1 = Smp   (a = attr)        → 1 entry follows
-//!     kind 2 = Tuple (a = d, b = sampled) → d entries follow
+//!     kind 2 is invalid (BadSolutionKind)
 //!     kind 3 = Mixed (a = entries)     → a dimension-tagged entries follow
 //! entry header:   tag(2 bits) | payload(bits 2..)
 //!     tag 0 = Value  (payload = v)     → no extra words
@@ -38,6 +38,11 @@
 //!     subtags 2/3 are invalid (BadSolutionKind)
 //! ```
 //!
+//! An RS+FD / RS+RFD fake-data tuple is a plain kind-0 report: nothing in it
+//! says which attribute was really sanitized, because that hidden choice is
+//! what makes those solutions ε-LDP. The receiver's solution decides whether
+//! a kind-0 report is counted through SPL's oracles or as fake data.
+//!
 //! [`MultidimAggregator::absorb_compact`]: super::MultidimAggregator::absorb_compact
 
 use ldp_protocols::{BitVec, FrequencyOracle, Oracle, Report};
@@ -47,11 +52,10 @@ use crate::numeric::{NumericOracle, NumericReport, NUMERIC_SCALE};
 use super::kind::{DynSolution, SolutionKind};
 use super::mixed::{MixedEntry, MixedReport, NUMERIC_DIM};
 use super::smp::SmpReport;
-use super::{MultidimReport, SolutionReport};
+use super::SolutionReport;
 
 const KIND_FULL: u64 = 0;
 const KIND_SMP: u64 = 1;
-const KIND_TUPLE: u64 = 2;
 const KIND_MIXED: u64 = 3;
 
 const SUBTAG_CAT: u64 = 0;
@@ -102,6 +106,9 @@ pub enum CompactDecodeError {
     TrailingWords,
     /// A solution header carries an unknown kind bit pattern.
     BadSolutionKind(u64),
+    /// A solution header sets a bit in 33..64, which the format reserves as
+    /// zero; carries the whole header word.
+    ReservedHeaderBits(u64),
     /// A bit-vector entry has a padding bit set past its declared width.
     DirtyBitPadding,
     /// Structurally sound, but the report shape or a value is out of domain
@@ -123,6 +130,9 @@ impl std::fmt::Display for CompactDecodeError {
             CompactDecodeError::TrailingWords => write!(f, "trailing words after the last report"),
             CompactDecodeError::BadSolutionKind(kind) => {
                 write!(f, "unknown solution header kind {kind}")
+            }
+            CompactDecodeError::ReservedHeaderBits(header) => {
+                write!(f, "solution header {header:#x} sets reserved bits 33..64")
             }
             CompactDecodeError::DirtyBitPadding => {
                 write!(f, "bit-vector entry with padding bits set past its width")
@@ -171,13 +181,6 @@ impl CompactBatch {
                 self.words.push(KIND_SMP | ((*attr as u64) << 2));
                 self.push_entry(report);
             }
-            SolutionReport::Tuple(MultidimReport { values, sampled }) => {
-                self.words
-                    .push(KIND_TUPLE | ((values.len() as u64) << 2) | ((*sampled as u64) << 33));
-                for rep in values {
-                    self.push_entry(rep);
-                }
-            }
             SolutionReport::Mixed(MixedReport { entries }) => {
                 self.words.push(KIND_MIXED | ((entries.len() as u64) << 2));
                 for (j, entry) in entries {
@@ -225,16 +228,12 @@ impl CompactBatch {
     pub fn iter(&self) -> impl Iterator<Item = (u64, SolutionReport)> + '_ {
         let mut cursor = self.cursor();
         self.uids.iter().map(move |&uid| {
-            let (kind, a, b) = cursor.solution_header();
+            let (kind, a) = cursor.solution_header();
             let report = match kind {
                 KIND_FULL => SolutionReport::Full((0..a).map(|_| cursor.decode_entry()).collect()),
                 KIND_SMP => SolutionReport::Smp(SmpReport {
                     attr: a,
                     report: cursor.decode_entry(),
-                }),
-                KIND_TUPLE => SolutionReport::Tuple(MultidimReport {
-                    values: (0..a).map(|_| cursor.decode_entry()).collect(),
-                    sampled: b,
                 }),
                 KIND_MIXED => SolutionReport::Mixed(MixedReport {
                     entries: (0..a)
@@ -359,9 +358,10 @@ impl CompactBatch {
     }
 
     /// Checks every encoded report against the target solution's shape and
-    /// domains: the report kind must match the solution family (SPL ⇒ full,
-    /// SMP ⇒ sampled, RS+FD/RS+RFD ⇒ tuple), entry counts must equal `d`,
-    /// sampled-attribute indexes must be `< d`, and every entry must fit its
+    /// domains: the report kind must match the solution family (SPL,
+    /// RS+FD and RS+RFD ⇒ full, SMP ⇒ sampled), entry counts must equal `d`,
+    /// SMP's disclosed attribute must be `< d`, fake-data tuples may hold
+    /// only value and bit-vector entries, and every entry must fit its
     /// attribute's domain (`Value < k_j`, subset members `< k_j`, bit-vector
     /// width `== k_j`, hashed reports with `value < g`). This is the gate
     /// that keeps a malformed network batch from ever reaching an
@@ -391,7 +391,7 @@ impl CompactBatch {
         while !cursor.done() {
             // Structure already validated above: every header is kind 3 with
             // `a` well-formed dimension-tagged entries.
-            let (_, a, _) = cursor.solution_header();
+            let (_, a) = cursor.solution_header();
             for _ in 0..a {
                 let dim_word = cursor.next();
                 let j = (dim_word >> 2) as usize;
@@ -425,23 +425,27 @@ fn walk_words(
     for _ in 0..n_reports {
         let header = *words.get(pos).ok_or(CompactDecodeError::TruncatedWords)?;
         pos += 1;
-        let (kind, a, b) = split_header(header);
+        if header >> 33 != 0 {
+            return Err(CompactDecodeError::ReservedHeaderBits(header));
+        }
+        let (kind, a) = split_header(header);
         let entries = match kind {
-            KIND_FULL | KIND_TUPLE | KIND_MIXED => a,
+            KIND_FULL | KIND_MIXED => a,
             KIND_SMP => 1,
             other => return Err(CompactDecodeError::BadSolutionKind(other)),
         };
         if let Some((solution, ks)) = check {
             let d = ks.len();
             match (solution, kind) {
-                (SolutionKind::Spl(_), KIND_FULL) if a == d => {}
+                (
+                    SolutionKind::Spl(_) | SolutionKind::RsFd(_) | SolutionKind::RsRfd(_),
+                    KIND_FULL,
+                ) if a == d => {}
                 (SolutionKind::Smp(_), KIND_SMP) if a < d => {}
-                (SolutionKind::RsFd(_) | SolutionKind::RsRfd(_), KIND_TUPLE) if a == d && b < d => {
-                }
-                (SolutionKind::Mixed(m), KIND_MIXED) if a == m.sample_k && a <= d && b == 0 => {}
+                (SolutionKind::Mixed(m), KIND_MIXED) if a == m.sample_k && a <= d => {}
                 _ => {
                     return Err(CompactDecodeError::Domain(format!(
-                        "report header (kind {kind}, a {a}, b {b}) does not fit {} over d = {d}",
+                        "report header (kind {kind}, a {a}) does not fit {} over d = {d}",
                         solution.name()
                     )))
                 }
@@ -495,8 +499,8 @@ fn walk_words(
             continue;
         }
         for entry in 0..entries {
-            // The attribute this entry estimates for: position for
-            // full/tuple reports, the disclosed sampled index for SMP.
+            // The attribute this entry estimates for: position for full
+            // reports, the disclosed sampled index for SMP.
             let j = if kind == KIND_SMP { a } else { entry };
             pos = walk_entry(words, pos, check.map(|(solution, ks)| (solution, ks[j], j)))?;
         }
@@ -608,10 +612,9 @@ fn walk_entry(
     Ok(pos)
 }
 
-/// Splits a solution header word into `(kind, a, b)` per the wire format.
-fn split_header(header: u64) -> (u64, usize, usize) {
-    let a = ((header >> 2) & 0x7FFF_FFFF) as usize;
-    (header & 0b11, a, (header >> 33) as usize)
+/// Splits a solution header word into `(kind, a)` per the wire format.
+fn split_header(header: u64) -> (u64, usize) {
+    (header & 0b11, ((header >> 2) & 0x7FFF_FFFF) as usize)
 }
 
 /// Sequential reader over a batch's encoded words.
@@ -646,7 +649,7 @@ impl<'a> Cursor<'a> {
 
     /// Advances past one whole report without materializing it.
     fn skip_report(&mut self) {
-        let (kind, a, _) = self.solution_header();
+        let (kind, a) = self.solution_header();
         for _ in 0..if kind == KIND_SMP { 1 } else { a } {
             // A mixed entry is a dim word, then one numeric word or a
             // standard entry.
@@ -658,8 +661,8 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// Reads a solution header, returning `(kind, a, b)` per the wire format.
-    pub(crate) fn solution_header(&mut self) -> (u64, usize, usize) {
+    /// Reads a solution header, returning `(kind, a)` per the wire format.
+    pub(crate) fn solution_header(&mut self) -> (u64, usize) {
         split_header(self.next())
     }
 
@@ -965,6 +968,63 @@ mod tests {
         assert!(matches!(
             CompactBatch::decode_from(&bytes),
             Err(CompactDecodeError::DirtyBitPadding)
+        ));
+    }
+
+    #[test]
+    fn reserved_header_bits_are_rejected_for_every_family() {
+        let ks = [4usize, 3];
+        let mut cases: Vec<(SolutionKind, &[usize], CompactBatch)> = [
+            SolutionKind::Spl(ProtocolKind::Grr),
+            SolutionKind::Smp(ProtocolKind::Grr),
+            SolutionKind::RsFd(RsFdProtocol::Grr),
+            SolutionKind::RsRfd(RsRfdProtocol::Grr),
+        ]
+        .into_iter()
+        .map(|kind| (kind, &ks[..], sample_batch(kind, &ks, 3, 8)))
+        .collect();
+        cases.push((mixed_kind(2), &MIXED_KS, sample_mixed_batch(3, 8, 2.0, 2)));
+        for (kind, ks, batch) in cases {
+            assert!(batch.validate_for(kind, ks).is_ok(), "{kind}");
+            for bit in [33, 48, 63] {
+                let mut forged = batch.clone();
+                forged.words[0] |= 1 << bit;
+                let err = CompactDecodeError::ReservedHeaderBits(forged.words[0]);
+                assert_eq!(
+                    forged.validate_for(kind, ks),
+                    Err(err.clone()),
+                    "{kind}, bit {bit}"
+                );
+                let mut bytes = Vec::new();
+                forged.encode_into(&mut bytes);
+                assert_eq!(CompactBatch::decode_from(&bytes), Err(err), "{kind}");
+            }
+        }
+    }
+
+    #[test]
+    fn kind_two_headers_are_rejected() {
+        // The retired fake-data shape, kind 2 over d entries, is no longer a
+        // kind at all; with its sampled index in bits 33.. it trips the
+        // reserved-bits rule first.
+        let ks = [4usize, 3];
+        let kind = SolutionKind::RsFd(RsFdProtocol::Grr);
+        let mut old = sample_batch(kind, &ks, 2, 9);
+        old.words[0] = (old.words[0] & !0b11) | 2;
+        assert_eq!(
+            old.validate_for(kind, &ks),
+            Err(CompactDecodeError::BadSolutionKind(2))
+        );
+        let mut bytes = Vec::new();
+        old.encode_into(&mut bytes);
+        assert_eq!(
+            CompactBatch::decode_from(&bytes),
+            Err(CompactDecodeError::BadSolutionKind(2))
+        );
+        old.words[0] |= 1 << 33;
+        assert!(matches!(
+            old.validate_for(kind, &ks),
+            Err(CompactDecodeError::ReservedHeaderBits(_))
         ));
     }
 

@@ -19,13 +19,14 @@ use super::{MultidimAggregator, MultidimReport, MultidimSolution};
 /// One sanitized client message, covering every solution's report shape.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SolutionReport {
-    /// SPL: one (ε/d)-LDP report per attribute; nothing is hidden.
+    /// One report per attribute, in attribute order. SPL sends `d`
+    /// (ε/d)-LDP reports. RS+FD and RS+RFD send their fake-data tuple: one
+    /// real report at the amplified ε′ among `d − 1` fake ones, with no
+    /// index saying which is real (that secret is what makes them ε-LDP).
+    /// The aggregator's estimator, not the report, tells the two apart.
     Full(Vec<Report>),
     /// SMP: the disclosed sampled attribute plus its ε-LDP report.
     Smp(SmpReport),
-    /// RS+FD / RS+RFD: a full fake-data tuple with a hidden sampled
-    /// attribute.
-    Tuple(MultidimReport),
     /// Mixed categorical+numeric: `sample_k` disclosed dimensions, each with
     /// a frequency-oracle or fixed-point numeric entry.
     Mixed(MixedReport),
@@ -191,11 +192,29 @@ impl DynSolution {
     /// values a `&[u32]` cannot express — mixed producers must call
     /// [`DynSolution::report_mixed`] instead.
     pub fn report(&self, tuple: &[u32], rng: &mut dyn RngCore) -> SolutionReport {
+        self.report_with_truth(tuple, rng).0
+    }
+
+    /// [`DynSolution::report`] plus the simulator's ground truth beside it:
+    /// the attribute RS+FD / RS+RFD actually sanitized (`None` for the other
+    /// solutions). The report itself never carries that index; attack
+    /// experiments need it to label compromised users and to score guesses.
+    /// Same draws as [`DynSolution::report`].
+    ///
+    /// # Panics
+    ///
+    /// Panics for [`DynSolution::Mixed`], like [`DynSolution::report`].
+    pub fn report_with_truth(
+        &self,
+        tuple: &[u32],
+        rng: &mut dyn RngCore,
+    ) -> (SolutionReport, Option<usize>) {
+        let fake_data = |t: MultidimReport| (SolutionReport::Full(t.values), Some(t.sampled));
         match self {
-            DynSolution::Spl(s) => SolutionReport::Full(s.report(tuple, rng)),
-            DynSolution::Smp(s) => SolutionReport::Smp(s.report(tuple, rng)),
-            DynSolution::RsFd(s) => SolutionReport::Tuple(s.report_dyn(tuple, rng)),
-            DynSolution::RsRfd(s) => SolutionReport::Tuple(s.report_dyn(tuple, rng)),
+            DynSolution::Spl(s) => (SolutionReport::Full(s.report(tuple, rng)), None),
+            DynSolution::Smp(s) => (SolutionReport::Smp(s.report(tuple, rng)), None),
+            DynSolution::RsFd(s) => fake_data(s.report_dyn(tuple, rng)),
+            DynSolution::RsRfd(s) => fake_data(s.report_dyn(tuple, rng)),
             DynSolution::Mixed(_) => {
                 panic!("mixed solutions sanitize via DynSolution::report_mixed")
             }
@@ -343,13 +362,19 @@ mod tests {
             smp.report(&[1, 2], &mut rng),
             SolutionReport::Smp(_)
         ));
+        // The fake-data tuple has the SPL shape: d entries, no index.
         let rsfd = SolutionKind::RsFd(RsFdProtocol::Grr)
             .build(&ks, 1.0)
             .unwrap();
         assert!(matches!(
             rsfd.report(&[1, 2], &mut rng),
-            SolutionReport::Tuple(t) if t.values.len() == 2
+            SolutionReport::Full(v) if v.len() == 2
         ));
+        // The sampled attribute comes back only beside the report.
+        let (report, sampled) = rsfd.report_with_truth(&[1, 2], &mut rng);
+        assert!(matches!(report, SolutionReport::Full(v) if v.len() == 2));
+        assert!(sampled.is_some_and(|j| j < 2));
+        assert_eq!(spl.report_with_truth(&[1, 2], &mut rng).1, None);
     }
 
     #[test]
@@ -361,7 +386,7 @@ mod tests {
             .unwrap();
         let mut rng: Box<dyn RngCore> = Box::new(StdRng::seed_from_u64(5));
         let report = solution.report(&[0, 1], rng.as_mut());
-        assert!(matches!(report, SolutionReport::Tuple(_)));
+        assert!(matches!(report, SolutionReport::Full(_)));
     }
 
     #[test]

@@ -34,7 +34,8 @@ use rand::{Rng, RngCore};
 
 /// A full sanitized tuple `y = [y_1, …, y_d]` as produced by the RS+FD /
 /// RS+RFD solutions, together with the (server-hidden) sampled attribute used
-/// as attack ground truth in the experiments.
+/// as attack ground truth in the experiments. Only `values` is ever sent:
+/// [`DynSolution::report`] wraps them as [`SolutionReport::Full`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultidimReport {
     /// One report per attribute (LDP for the sampled one, fake otherwise).
@@ -95,7 +96,7 @@ pub trait MultidimSolution {
     fn estimate(&self, reports: &[MultidimReport]) -> Vec<Vec<f64>> {
         let mut agg = self.aggregator();
         for r in reports {
-            agg.absorb_tuple(r);
+            agg.absorb_full(&r.values);
         }
         agg.estimate()
     }

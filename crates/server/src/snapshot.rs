@@ -104,8 +104,8 @@ mod tests {
         let mut sequential = rsfd.aggregator();
         let mut shards = [rsfd.aggregator(), rsfd.aggregator()];
         for (i, r) in reports.iter().enumerate() {
-            sequential.absorb_tuple(r);
-            shards[i % 2].absorb_tuple(r);
+            sequential.absorb_full(&r.values);
+            shards[i % 2].absorb_full(&r.values);
         }
         let snap = ServerSnapshot::merge(rsfd.aggregator(), &shards);
         assert_eq!(snap.n, 300);

@@ -10,7 +10,7 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic     = 0x4C445057 ("LDPW")
-//!      4     2  version   = 2
+//!      4     2  version   = 3
 //!      6     1  frame type (see below)
 //!      7     1  flags     (SNAPSHOT_REQUEST bit 0 = quiesce first)
 //!      8     4  payload length in bytes (≤ 64 MiB)
@@ -57,10 +57,15 @@
 //! `ldp_sim::user_rng`), a replayed batch is bit-identical to the lost one,
 //! and a faulted fleet drain equals the clean run bit-for-bit.
 //!
-//! Type 2 was the unsequenced BATCH frame of wire version 1. No version 2
-//! peer sends it, and it decodes as [`WireError::UnknownFrameType`].
+//! Type 2 was the unsequenced BATCH frame of wire version 1. No later peer
+//! sends it, and it decodes as [`WireError::UnknownFrameType`].
 //!
-//! Version negotiation is deliberately blunt: the header pins version 2, and
+//! Version 3 changed only the batch payload: an RS+FD / RS+RFD report no
+//! longer names the attribute it really sanitized (see
+//! [`CompactBatch`]'s wire format). A version 2 producer, which still sends
+//! that index, is refused at its first frame.
+//!
+//! Version negotiation is deliberately blunt: the header pins version 3, and
 //! a mismatch is rejected with a typed [`WireError::VersionMismatch`] before
 //! any payload byte is interpreted — there is exactly one wire dialect per
 //! build, ever, so "negotiation" is the client learning it speaks the wrong
@@ -82,7 +87,7 @@ use crate::snapshot::ServerSnapshot;
 pub const WIRE_MAGIC: u32 = u32::from_le_bytes(*b"LDPW");
 
 /// The (single) protocol version this build speaks.
-pub const WIRE_VERSION: u16 = 2;
+pub const WIRE_VERSION: u16 = 3;
 
 /// Hard cap on a frame payload — far above any sane batch (a default
 /// 1024-report batch is a few hundred KiB), small enough that a forged
@@ -1080,5 +1085,53 @@ mod tests {
             read_frame(&mut &buf[..]),
             Err(WireError::Payload(_))
         ));
+    }
+
+    /// RS+FD and RS+RFD are ε-LDP only while the server cannot tell which
+    /// attribute a user really sanitized: two users whose fake-data tuples
+    /// agree but whose sampled attributes differ must put the same bytes on
+    /// the wire.
+    #[test]
+    fn fake_data_frames_do_not_reveal_the_sampled_attribute() {
+        use ldp_core::solutions::{DynSolution, MultidimSolution, RsRfdProtocol};
+        let ks = [2usize, 2, 2];
+        let tuple = [1u32, 0, 1];
+        for kind in [
+            SolutionKind::RsFd(RsFdProtocol::Grr),
+            SolutionKind::RsRfd(RsRfdProtocol::UeR(ldp_protocols::UeMode::Optimized)),
+        ] {
+            let solution = kind.build(&ks, 1.0).unwrap();
+            // The simulator's view of each seed: the tuple and the attribute
+            // it really sanitized, from the same draws as the wire report.
+            let truths: Vec<_> = (0..64u64)
+                .map(|seed| {
+                    let rng = &mut StdRng::seed_from_u64(seed);
+                    match &solution {
+                        DynSolution::RsFd(s) => s.report_dyn(&tuple, rng),
+                        DynSolution::RsRfd(s) => s.report_dyn(&tuple, rng),
+                        _ => unreachable!("fake-data kinds only"),
+                    }
+                })
+                .collect();
+            let (a, b) = (0..truths.len())
+                .flat_map(|a| (a + 1..truths.len()).map(move |b| (a, b)))
+                .find(|&(a, b)| {
+                    truths[a].values == truths[b].values && truths[a].sampled != truths[b].sampled
+                })
+                .expect("two seeds with equal tuples and different sampled attributes");
+            let frame = |seed: usize| {
+                let mut batch = CompactBatch::new();
+                let rng = &mut StdRng::seed_from_u64(seed as u64);
+                batch.push(7, &solution.report(&tuple, rng));
+                let mut buf = Vec::new();
+                encode_batch_seq_frame(1, &batch, &mut buf);
+                buf
+            };
+            assert_eq!(
+                frame(a),
+                frame(b),
+                "{kind}: the frame names the sampled attribute"
+            );
+        }
     }
 }

@@ -7,11 +7,14 @@
 use std::io::Write;
 use std::net::TcpStream;
 
-use ldp_core::solutions::{CompactBatch, MixedKind, RsFdProtocol, SolutionKind};
+use ldp_core::solutions::{
+    CompactBatch, CompactDecodeError, MixedKind, RsFdProtocol, SolutionKind,
+};
 use ldp_core::NumericKind;
 use ldp_protocols::ProtocolKind;
 use ldp_server::wire::{
-    encode_frame, read_frame, solution_fingerprint, write_frame, Frame, WireError, WireSnapshot,
+    crc32, encode_batch_seq_frame, encode_frame, read_frame, solution_fingerprint, write_frame,
+    Frame, WireError, WireSnapshot, WIRE_VERSION,
 };
 use ldp_server::{ServerConfig, WireServer};
 use proptest::prelude::*;
@@ -350,6 +353,128 @@ fn replayed_and_out_of_order_seqs_never_double_ingest() {
 
     server.wait_for_producers(1);
     assert_eq!(server.finish().n, 30, "the gapped session must not land");
+}
+
+/// A sealed BATCH_SEQ frame of one RS+FD report over `d = 3` whose header
+/// is the wire-v2 fake-data shape, `kind 2 | d << 2 | sampled << 33`: the
+/// shape that told the server which attribute the user really sanitized.
+fn v2_tuple_batch_frame(sampled: u64) -> Vec<u8> {
+    let solution = SolutionKind::RsFd(RsFdProtocol::Grr)
+        .build(&[5, 3, 4], 1.5)
+        .unwrap();
+    let mut batch = CompactBatch::new();
+    batch.push(
+        0,
+        &solution.report(&[1, 2, 3], &mut StdRng::seed_from_u64(1)),
+    );
+    let mut frame = Vec::new();
+    encode_batch_seq_frame(1, &batch, &mut frame);
+    // frame header (16) + seq (8) + batch counts (16) + one uid (8).
+    let header_at = 16 + 8 + 16 + 8;
+    let old_header = 2 | (3 << 2) | (sampled << 33);
+    frame[header_at..header_at + 8].copy_from_slice(&u64::to_le_bytes(old_header));
+    let crc = crc32(&frame[16..]);
+    frame[12..16].copy_from_slice(&crc.to_le_bytes());
+    frame
+}
+
+/// An RS+FD report in the retired kind-2 shape, correctly sealed, decodes
+/// to a typed batch error whatever its sampled index; a live server aborts
+/// the session with `ABORT_PROTOCOL` and ingests nothing.
+#[test]
+fn v2_fake_data_batches_are_refused() {
+    for (sampled, expected) in [
+        (0, CompactDecodeError::BadSolutionKind(2)),
+        (
+            2,
+            CompactDecodeError::ReservedHeaderBits(2 | (3 << 2) | (2 << 33)),
+        ),
+    ] {
+        match read_frame(&mut &v2_tuple_batch_frame(sampled)[..]) {
+            Err(WireError::Batch(e)) => assert_eq!(e, expected, "sampled {sampled}"),
+            other => panic!("expected a typed batch error, got {other:?}"),
+        }
+    }
+
+    let solution = SolutionKind::RsFd(RsFdProtocol::Grr)
+        .build(&[5, 3, 4], 1.5)
+        .unwrap();
+    let server = WireServer::bind(
+        "127.0.0.1:0",
+        solution.clone(),
+        ServerConfig::default().shards(2),
+    )
+    .unwrap();
+    let stream = TcpStream::connect(server.local_addr()).unwrap();
+    let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    write_frame(
+        &mut writer,
+        &Frame::Hello {
+            fingerprint: solution_fingerprint(&solution),
+            auth: 0,
+        },
+    )
+    .unwrap();
+    writer.flush().unwrap();
+    assert!(matches!(
+        read_frame(&mut reader).unwrap(),
+        Frame::HelloAck { .. }
+    ));
+    writer.write_all(&v2_tuple_batch_frame(1)).unwrap();
+    writer.flush().unwrap();
+    match read_frame(&mut reader).unwrap() {
+        Frame::Abort { code, message } => {
+            assert_eq!(code, ldp_server::ABORT_PROTOCOL);
+            assert!(message.contains("reserved"), "{message}");
+        }
+        other => panic!("expected ABORT on a v2 fake-data batch, got {other:?}"),
+    }
+    assert_eq!(server.finish().n, 0, "the v2 batch must not reach a shard");
+}
+
+/// A producer still speaking wire version 2 is refused at its HELLO with a
+/// typed ABORT that names the version.
+#[test]
+fn version_2_hello_is_refused() {
+    assert_eq!(WIRE_VERSION, 3);
+    let solution = SolutionKind::RsFd(RsFdProtocol::Grr)
+        .build(&[5, 3, 4], 1.5)
+        .unwrap();
+    let mut hello = Vec::new();
+    encode_frame(
+        &Frame::Hello {
+            fingerprint: solution_fingerprint(&solution),
+            auth: 0,
+        },
+        &mut hello,
+    );
+    hello[4..6].copy_from_slice(&2u16.to_le_bytes());
+    assert!(matches!(
+        read_frame(&mut &hello[..]),
+        Err(WireError::VersionMismatch { got: 2 })
+    ));
+
+    let server = WireServer::bind(
+        "127.0.0.1:0",
+        solution.clone(),
+        ServerConfig::default().shards(2),
+    )
+    .unwrap();
+    let stream = TcpStream::connect(server.local_addr()).unwrap();
+    let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    writer.write_all(&hello).unwrap();
+    writer.write_all(&v2_tuple_batch_frame(1)).unwrap();
+    writer.flush().unwrap();
+    match read_frame(&mut reader).unwrap() {
+        Frame::Abort { code, message } => {
+            assert_eq!(code, ldp_server::ABORT_PROTOCOL);
+            assert!(message.contains("version 2"), "{message}");
+        }
+        other => panic!("expected ABORT on a version 2 HELLO, got {other:?}"),
+    }
+    assert_eq!(server.finish().n, 0);
 }
 
 /// A representative fault-tolerant session byte stream (HELLO, RESUME,

@@ -214,8 +214,15 @@ pub trait Population: Sync {
     /// Panics when the population's schema does not match `solution`.
     fn check(&self, solution: &DynSolution);
 
-    /// User `uid`'s report under `solution`, drawn from `rng`.
-    fn report(&self, solution: &DynSolution, uid: usize, rng: &mut SmallRng) -> SolutionReport;
+    /// User `uid`'s report under `solution`, drawn from `rng`, beside the
+    /// attribute a fake-data solution really sanitized (see
+    /// [`DynSolution::report_with_truth`]). Only the report is ever sent.
+    fn report(
+        &self,
+        solution: &DynSolution,
+        uid: usize,
+        rng: &mut SmallRng,
+    ) -> (SolutionReport, Option<usize>);
 
     /// The categorical records (the adversary's background knowledge).
     fn categorical(&self) -> &Dataset;
@@ -238,8 +245,13 @@ impl Population for Dataset {
         );
     }
 
-    fn report(&self, solution: &DynSolution, uid: usize, rng: &mut SmallRng) -> SolutionReport {
-        solution.report(self.row(uid), rng)
+    fn report(
+        &self,
+        solution: &DynSolution,
+        uid: usize,
+        rng: &mut SmallRng,
+    ) -> (SolutionReport, Option<usize>) {
+        solution.report_with_truth(self.row(uid), rng)
     }
 
     fn categorical(&self) -> &Dataset {
@@ -269,10 +281,16 @@ impl Population for MixedDataset {
 
     /// The dataset validated every numeric value at construction, so a
     /// reporting error here is a bug, not bad input.
-    fn report(&self, solution: &DynSolution, uid: usize, rng: &mut SmallRng) -> SolutionReport {
-        solution
+    fn report(
+        &self,
+        solution: &DynSolution,
+        uid: usize,
+        rng: &mut SmallRng,
+    ) -> (SolutionReport, Option<usize>) {
+        let report = solution
             .report_mixed(self.cat().row(uid), self.num_row(uid), rng)
-            .expect("mixed dataset values are validated at construction")
+            .expect("mixed dataset values are validated at construction");
+        (report, None)
     }
 
     fn categorical(&self) -> &Dataset {
@@ -411,7 +429,7 @@ impl CollectionPipeline {
         self.collect(
             population,
             || self.solution.aggregator(),
-            |agg, report| agg.absorb(&report),
+            |agg, (report, _)| agg.absorb(&report),
             |agg| agg,
         )
     }
@@ -420,22 +438,25 @@ impl CollectionPipeline {
     /// report is produced **once**, absorbed into its thread's aggregator
     /// shard *and* kept as the §3.1 adversary's observation, round-major
     /// (round `r`'s reports occupy `r·n .. (r+1)·n`, each round in user
-    /// order). Buffers every report (the adversary must hold the wire
-    /// anyway); use [`CollectionPipeline::run`] when nothing observes it.
+    /// order). Each report is paired with its ground truth, the attribute a
+    /// fake-data solution really sanitized (`None` for the others), which
+    /// the wire itself never carries. Buffers every report (the adversary
+    /// must hold the wire anyway); use [`CollectionPipeline::run`] when
+    /// nothing observes it.
     ///
     /// # Panics
     /// Panics when the population does not match the solution schema.
     pub fn run_with_observation(
         &self,
         population: &impl Population,
-    ) -> (CollectionRun, Vec<SolutionReport>) {
+    ) -> (CollectionRun, Vec<(SolutionReport, Option<usize>)>) {
         let mut observed = Vec::with_capacity(self.rounds.count * population.n());
         let run = self.collect(
             population,
             || (self.solution.aggregator(), Vec::new()),
-            |(agg, reports), report| {
-                agg.absorb(&report);
-                reports.push(report);
+            |(agg, reports), observation| {
+                agg.absorb(&observation.0);
+                reports.push(observation);
             },
             |(agg, reports)| {
                 observed.extend(reports);
@@ -488,7 +509,7 @@ impl CollectionPipeline {
                 par::par_chunks(wave.len(), producers, |range| {
                     server.ingest_batch(wave[range].iter().map(|&uid| Envelope {
                         uid,
-                        report: self.sanitize(population, uid, round),
+                        report: self.sanitize(population, uid, round).0,
                     }));
                     Vec::<()>::new()
                 });
@@ -549,7 +570,7 @@ impl CollectionPipeline {
                     .iter()
                     .filter(|&&uid| uid % parts as u64 == part as u64)
                 {
-                    client.push(uid, &self.sanitize(population, uid, round))?;
+                    client.push(uid, &self.sanitize(population, uid, round).0)?;
                 }
                 if snapshot_every > 0 && (i + 1) % snapshot_every == 0 {
                     on_snapshot(&client.snapshot(false)?);
@@ -563,11 +584,17 @@ impl CollectionPipeline {
     }
 
     /// The one seeded per-user sanitize call behind every verb: user
-    /// `uid`'s report in round `round`, drawn from
+    /// `uid`'s report in round `round` with its ground truth (see
+    /// [`Population::report`]), drawn from
     /// [`user_rng_round`]`(seed, uid, rng_round)`. Keeping every verb on
     /// this call is what makes the batch, streamed, wire and observed
     /// reports bit-identical.
-    fn sanitize<P: Population>(&self, population: &P, uid: u64, round: u64) -> SolutionReport {
+    fn sanitize<P: Population>(
+        &self,
+        population: &P,
+        uid: u64,
+        round: u64,
+    ) -> (SolutionReport, Option<usize>) {
         let mut rng = user_rng_round(self.seed, uid, self.rounds.rng_round(round));
         population.report(&self.solution, uid as usize, &mut rng)
     }
@@ -581,7 +608,7 @@ impl CollectionPipeline {
         &self,
         population: &P,
         init: impl Fn() -> A + Sync,
-        absorb: impl Fn(&mut A, SolutionReport) + Sync,
+        absorb: impl Fn(&mut A, (SolutionReport, Option<usize>)) + Sync,
         mut shard: impl FnMut(A) -> MultidimAggregator,
     ) -> CollectionRun {
         population.check(&self.solution);
@@ -746,8 +773,9 @@ mod tests {
         // Absorbing the observed wire messages reproduces the server state
         // bit for bit: the adversary saw exactly what was collected.
         let mut agg = pipeline.solution().aggregator();
-        for r in &observed {
+        for (r, sampled) in &observed {
             agg.absorb(r);
+            assert!(sampled.is_some_and(|j| j < ks.len()));
         }
         assert_eq!(agg.counts(), run.aggregator.counts());
     }
@@ -771,7 +799,7 @@ mod tests {
         // Same rng streams → the single-pass wire equals the replayed wire.
         let mut a = pipeline.solution().aggregator();
         let mut b = pipeline.solution().aggregator();
-        for (x, y) in observed.iter().zip(&replayed) {
+        for ((x, _), (y, _)) in observed.iter().zip(&replayed) {
             a.absorb(x);
             b.absorb(y);
         }
@@ -923,7 +951,7 @@ mod tests {
         let (run, observed) = pipeline.run_with_observation(&mixed);
         assert_eq!(observed.len(), mixed.n());
         let mut agg = pipeline.solution().aggregator();
-        for r in &observed {
+        for (r, _) in &observed {
             agg.absorb(r);
         }
         assert_eq!(agg.counts(), run.aggregator.counts());
@@ -1071,7 +1099,7 @@ mod tests {
             assert_eq!(observed.len(), 3 * ds.n(), "{policy}");
             for (r, run) in runs.iter().enumerate() {
                 let mut agg = pipeline.solution().aggregator();
-                for report in &observed[r * ds.n()..(r + 1) * ds.n()] {
+                for (report, _) in &observed[r * ds.n()..(r + 1) * ds.n()] {
                     agg.absorb(report);
                 }
                 assert_eq!(

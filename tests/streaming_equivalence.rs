@@ -83,7 +83,7 @@ fn check_streaming<S: MultidimSolution>(
 ) {
     let mut sequential = solution.aggregator();
     for r in reports {
-        sequential.absorb_tuple(r);
+        sequential.absorb_full(&r.values);
     }
     assert_bit_identical(batch, &sequential.estimate(), label);
 
@@ -93,7 +93,7 @@ fn check_streaming<S: MultidimSolution>(
         solution.aggregator(),
     ];
     for (i, r) in reports.iter().enumerate() {
-        shards[i % 3].absorb_tuple(r);
+        shards[i % 3].absorb_full(&r.values);
     }
     let mut merged = solution.aggregator();
     for s in &shards {
